@@ -291,8 +291,11 @@ def cmd_cv(args) -> int:
         full = report.cell("qda_full", None).summary()
         writer.writerow([name, "qda_full", full["median"], full["sd"], "",
                          seed, __version__])
-        r_star, _ = select_dimension(report, method=pipeline.name)
-        best = report.cell(pipeline.name, r_star).summary()
+        # with every repeat failed there is no dimension to select
+        r_star, best = "", {"median": float("nan"), "sd": float("nan")}
+        if any(c.rates for c in report.cells if c.method == pipeline.name):
+            r_star, _ = select_dimension(report, method=pipeline.name)
+            best = report.cell(pipeline.name, r_star).summary()
         writer.writerow([name, pipeline.name, best["median"], best["sd"],
                          r_star, seed, __version__])
     print(f"wrote {report_path}")

@@ -7,6 +7,8 @@ recover without parsing strings.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SsdrError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,6 +18,12 @@ class SsdrError(Exception):
         if class_id is not None:
             message = f"class {class_id}: {message}"
         super().__init__(message)
+
+    def __reduce__(self):
+        # Rebuild without __init__: subclasses take required keyword
+        # arguments, and the stored message already carries its prefixes.
+        # Worker processes send errors to the parent by pickling them.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidInputError(SsdrError, ValueError):

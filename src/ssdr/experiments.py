@@ -2,10 +2,12 @@
 
 A pipeline is one precision estimator plus a sweep over reduced dimensions.
 For every training/test split the pipeline builds the discriminant matrix,
-extracts the projection basis once, and for each r fits plain QDA on the
-projected training data and records the estimated conditional error rate on
-the projected test data. The full-feature QDA error is always recorded as a
-baseline under the method name "qda_full".
+extracts the projection basis once, and records for each r the estimated
+conditional error rate of plain QDA fitted on the projected training data
+and applied to the projected test data. One Cholesky factorization per
+class serves every r of the sweep (see ``_sweep_cers``). The full-feature
+QDA error is always recorded as a baseline under the method name
+"qda_full".
 
 Reproducibility contract: every work unit (replicate, repeat, tuning split)
 derives its RNG stream from the master seed and the unit index via
@@ -19,18 +21,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import qda
-from .datamodel import (
-    ClassSummary,
-    LabeledDataset,
-    jitter,
-    standardize,
-    summarize,
-)
+from .datamodel import LabeledDataset, jitter, standardize, summarize
 from .errors import InvalidInputError, SsdrError, StratificationError, TuningError
 from .estimators import PrecisionEstimatorSpec, mry
-from .numerics import spd_cholesky, svd_full, symmetrize
+from .numerics import cholesky_prefix, spd_cholesky, svd_full, symmetrize
 from .qda import CerReport
 from .reduction import build_discriminant_matrix, discriminant_matrix_from
 
@@ -43,6 +40,10 @@ _NS_JITTER = 3
 _SAMPLE_SPEC = PrecisionEstimatorSpec(kind="sample_inverse")
 
 N_POLICIES = ("p+1", "2p", "6p")
+
+# The dimension sweep scores test rows in blocks of this many, so its
+# (r, rows) score arrays stay small however large the test set is.
+_SWEEP_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -210,31 +211,49 @@ def _full_qda_cer(train: LabeledDataset, test: LabeledDataset) -> float:
 
 def _sweep_cers(train: LabeledDataset, test: LabeledDataset,
                 u_full: np.ndarray, dims) -> dict:
-    """Reduced-QDA error per r, sharing one rotation of the data.
+    """Reduced-QDA error per r in dims, from one factorization per class.
 
     The projected class moments for dimension r are the leading r x r block
-    of the fully rotated moments, so the sweep costs one rotation plus one
-    small QDA fit per r. A singular projected covariance marks that r as
-    missing (None) instead of aborting the sweep.
+    of the moments rotated onto the first max(dims) columns of u_full, and
+    the Cholesky factor L_r of a leading block is the leading block of the
+    full factor L. One triangular solve L z = x - mean per class and test
+    row therefore gives the QDA score at every r as a prefix sum,
+    cumsum(z**2) + 2 cumsum(log diag L) - 2 log prior. Each row goes to the
+    class of lowest score, ties to the lowest class id as in qda.classify.
+
+    Class i supports r up to the smallest of its first failed pivot, n_i - 1
+    and max(dims): the ML covariance of n_i rows has rank at most n_i - 1,
+    so every larger block is exactly singular and only roundoff would decide
+    whether its pivot passes. An r past any class's prefix is missing
+    (None), as a singular projected covariance is for qda.fit.
     """
-    rot_train = train.with_features(train.features @ u_full)
-    rot_test_feats = test.features @ u_full
-    summaries = summarize(rot_train)
-    out = {}
-    for r in dims:
-        subs = [
-            ClassSummary(class_id=c.class_id, n_i=c.n_i, mean=c.mean[:r],
-                         cov=np.array(c.cov[:r, :r]), prior=c.prior)
-            for c in summaries
-        ]
-        try:
-            model = qda.fit(subs, _SAMPLE_SPEC)
-            out[r] = qda.conditional_error_rate(
-                model, test.with_features(rot_test_feats[:, :r])
-            )
-        except SsdrError:
-            out[r] = None
-    return out
+    basis = u_full[:, :max(dims)]
+    summaries = summarize(train.with_features(train.features @ basis))
+    q = basis.shape[1]
+    factors = []
+    for cs in summaries:
+        chol, valid = cholesky_prefix(cs.cov)
+        q = min(q, valid, cs.n_i - 1)
+        factors.append(chol)
+    consts = [2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
+              - 2.0 * np.log(cs.prior) for cs, chol in zip(summaries, factors)]
+    rot_test = (test.features @ basis)[:, :q]
+    misses = np.zeros(q, dtype=np.int64)
+    for start in range(0, test.n, _SWEEP_BLOCK_ROWS):
+        rows = slice(start, start + _SWEEP_BLOCK_ROWS)
+        best = pred = None
+        for cs, chol, const in zip(summaries, factors, consts):
+            z = solve_triangular(chol[:q, :q], (rot_test[rows] - cs.mean[:q]).T,
+                                 lower=True, check_finite=False)
+            score = np.cumsum(z * z, axis=0) + const[:, None]
+            if best is None:
+                best, pred = score, np.full(score.shape, cs.class_id)
+            else:
+                better = score < best
+                np.copyto(best, score, where=better)
+                pred[better] = cs.class_id
+        misses += np.count_nonzero(pred != test.labels[rows], axis=1)
+    return {r: float(misses[r - 1] / test.n) if r <= q else None for r in dims}
 
 
 def _pipeline_cers(train: LabeledDataset, test: LabeledDataset,
@@ -508,8 +527,14 @@ def _cv_repeat_worker(args) -> dict:
     for f in range(folds):
         train = ds.subset(fold_ids != f)
         test = ds.subset(fold_ids == f)
-        if pipeline.standardize:
-            train, test = standardize(train, test)
+        try:
+            if pipeline.standardize:
+                train, test = standardize(train, test)
+        except SsdrError:
+            # a degenerate training fold leaves every cell of the fold missing
+            for vals in fold_cers.values():
+                vals.append(None)
+            continue
         try:
             fold_cers[("qda_full", None)].append(_full_qda_cer(train, test))
         except SsdrError:

@@ -108,6 +108,31 @@ def reduced_svd(m, rank_tol: float = DEFAULT_RANK_TOL):
     return u[:, :q], d, vt[:q, :].T, q
 
 
+def cholesky_prefix(s) -> tuple[np.ndarray, int]:
+    """Lower Cholesky factor of a symmetric matrix and its valid pivot count.
+
+    Returns (L, q). When the factorization meets a non-positive pivot at
+    zero-based position j, q = j and only the leading q x q block of L is a
+    factor (of the leading q x q block of s); otherwise q is the order of s
+    and L L^T = s. This is the one place that calls LAPACK dpotrf.
+    """
+    s = symmetrize(s)
+    c, info = lapack.dpotrf(s, lower=1)
+    if info < 0:
+        raise InvalidInputError(f"illegal value in argument {-info} of dpotrf")
+    return np.tril(c), (info - 1 if info > 0 else s.shape[0])
+
+
+def spd_cholesky(s) -> np.ndarray:
+    """Lower Cholesky factor of an SPD matrix; NotSpdError on failure."""
+    chol, valid = cholesky_prefix(s)
+    if valid < chol.shape[0]:
+        raise NotSpdError(
+            f"matrix is not positive definite (pivot {valid})", pivot=valid,
+        )
+    return chol
+
+
 def spd_logdet_and_inverse(s) -> tuple[float, np.ndarray]:
     """Log-determinant and inverse of an SPD matrix via Cholesky.
 
@@ -115,35 +140,13 @@ def spd_logdet_and_inverse(s) -> tuple[float, np.ndarray]:
     factorization hits a non-positive pivot. The inverse satisfies
     ``||s @ inv - I||_F <= 1e-8 * p`` for condition numbers below 1e10.
     """
-    s = symmetrize(s)
-    c, info = lapack.dpotrf(s, lower=1)
-    if info > 0:
-        raise NotSpdError(
-            f"matrix is not positive definite (pivot {info - 1})",
-            pivot=info - 1,
-        )
-    if info < 0:
-        raise InvalidInputError(f"illegal value in argument {-info} of dpotrf")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    inv, info = lapack.dpotri(c, lower=1)
+    chol = spd_cholesky(s)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    inv, info = lapack.dpotri(chol, lower=1)
     if info != 0:
         raise NotSpdError(f"dpotri failed with info={info}", pivot=None)
     inv = np.tril(inv) + np.tril(inv, -1).T
     return logdet, inv
-
-
-def spd_cholesky(s) -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix; NotSpdError on failure."""
-    s = symmetrize(s)
-    c, info = lapack.dpotrf(s, lower=1)
-    if info > 0:
-        raise NotSpdError(
-            f"matrix is not positive definite (pivot {info - 1})",
-            pivot=info - 1,
-        )
-    if info < 0:
-        raise InvalidInputError(f"illegal value in argument {-info} of dpotrf")
-    return np.tril(c)
 
 
 def sym_eigen(s) -> tuple[np.ndarray, np.ndarray]:

@@ -102,7 +102,7 @@ def scores(model: QdaModel, x) -> np.ndarray:
     for i in range(model.k):
         diff = x2 - model.means[i]
         out[:, i] = const[i] + np.einsum(
-            "nj,jk,nk->n", diff, model.precisions[i], diff
+            "nj,nj->n", diff @ model.precisions[i], diff
         )
     return out[0] if single else out
 

@@ -197,6 +197,7 @@ def test_criterion_4_mry_correctness():
             f"on 100 instances each ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_mc_baselines(mc_runs):
     started = time.monotonic()
     targets = {
@@ -225,6 +226,7 @@ def test_criterion_5_mc_baselines(mc_runs):
             f"reference values: {pretty} ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_mc_ordering(mc_runs):
     margins = {}
     for cid, est, dims in [(1, MRY_SIMPLE, None), (2, MRY_QDA, None),

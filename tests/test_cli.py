@@ -151,6 +151,26 @@ class TestCv:
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_degenerate_training_fold_is_recorded(self, tmp_path, threads):
+        # column 2 is zero except in one row: the training fold without that
+        # row cannot be studentized, which fails that fold's cells only
+        rng = np.random.default_rng(5)
+        feats = rng.normal(size=(60, 3))
+        feats[:, 2] = 0.0
+        feats[0, 2] = 1.0
+        data = tmp_path / "degenerate.csv"
+        write_csv(LabeledDataset(feats, [0] * 30 + [1] * 30), data)
+        code = run_cli("cv", "--data", data, "--standardize", "--folds", 5,
+                       "--repeats", 2, "--seed", 3, "--out-dir", tmp_path,
+                       "--threads", threads)
+        assert code == 2
+        payload = load_json(tmp_path / "degenerate_report.json")
+        failures = {(c["method"], c["r"]): c["failures"]
+                    for c in payload["cells"]}
+        assert failures[("qda_full", None)] == 2
+        assert failures[("ssdr_sample_inverse", 1)] == 2
+
     def test_cv_deterministic(self, tmp_path):
         rng = np.random.default_rng(2)
         data = tmp_path / "blobs.csv"

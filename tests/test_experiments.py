@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from ssdr.datamodel import LabeledDataset, summarize
-from ssdr.errors import InvalidInputError, StratificationError, TuningError
+from ssdr import qda
+from ssdr.datamodel import ClassSummary, LabeledDataset, summarize
+from ssdr.errors import (
+    InvalidInputError,
+    SsdrError,
+    StratificationError,
+    TuningError,
+)
 from ssdr.estimators import PrecisionEstimatorSpec
 from ssdr.experiments import (
+    _SWEEP_BLOCK_ROWS,
     PipelineSpec,
     _stratified_fold_ids,
+    _sweep_cers,
     lambda_grid,
     mvn_sample,
     repeated_kfold_cv,
@@ -187,6 +197,90 @@ class TestRepeatedKfoldCv:
         full = np.array(rep.cell("qda_full", None).rates)
         rotated = np.array(rep.cell("ssdr_sample", 4).rates)
         np.testing.assert_allclose(rotated, full, atol=1e-10)
+
+
+def reference_sweep(train, test, u_full, dims):
+    """Per-r reduced QDA: leading-block summaries, sample-inverse fit, score."""
+    rotated = summarize(train.with_features(train.features @ u_full))
+    rot_test = test.features @ u_full
+    out = {}
+    for r in dims:
+        subs = [ClassSummary(class_id=c.class_id, n_i=c.n_i, mean=c.mean[:r],
+                             cov=np.array(c.cov[:r, :r]), prior=c.prior)
+                for c in rotated]
+        try:
+            model = qda.fit(subs, SAMPLE)
+        except SsdrError:
+            out[r] = None
+            continue
+        out[r] = qda.conditional_error_rate(
+            model, test.with_features(rot_test[:, :r]))
+    return out
+
+
+@st.composite
+def sweep_problems(draw, n_lo, n_hi):
+    """Train/test split of k Gaussian classes, and a random orthogonal basis.
+
+    The test set spans more than one scoring block and ends mid-block.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    p = draw(st.integers(2, 5))
+    n_train = [draw(st.integers(n_lo(p), n_hi(p))) for _ in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_test = _SWEEP_BLOCK_ROWS // k + 101
+    parts = []
+    for c, n in enumerate(n_train):
+        scale = rng.normal(size=(p, p)) + 2.0 * np.eye(p)
+        mean = rng.normal(scale=1.5, size=p)
+        parts.append((rng.normal(size=(n + n_test, p)) @ scale + mean, c, n))
+    train = LabeledDataset(np.vstack([x[:n] for x, _, n in parts]),
+                           np.concatenate([[c] * n for _, c, n in parts]))
+    test = LabeledDataset(np.vstack([x[n:] for x, _, n in parts]),
+                          np.repeat(np.arange(k), n_test))
+    u_full, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    return train, test, u_full, tuple(range(1, p + 1))
+
+
+class TestSweepCers:
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_problems(n_lo=lambda p: p + 1, n_hi=lambda p: p + 8))
+    def test_matches_per_r_fits_when_classes_exceed_p(self, problem):
+        train, test, u_full, dims = problem
+        assert test.n > _SWEEP_BLOCK_ROWS and test.n % _SWEEP_BLOCK_ROWS
+        got = _sweep_cers(train, test, u_full, dims)
+        assert got == reference_sweep(train, test, u_full, dims)
+        assert None not in got.values()
+
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_problems(n_lo=lambda p: 2, n_hi=lambda p: p))
+    def test_dims_past_smallest_class_are_missing(self, problem):
+        train, test, u_full, dims = problem
+        cap = int(train.class_counts().min()) - 1
+        got = _sweep_cers(train, test, u_full, dims)
+        ref = reference_sweep(train, test, u_full, dims)
+        assert {r: got[r] for r in dims if r <= cap} == \
+            {r: ref[r] for r in dims if r <= cap}
+        assert all(got[r] is None for r in dims if r > cap)
+
+    def test_failed_first_pivot_leaves_every_r_missing(self):
+        rng = np.random.default_rng(17)
+        feats = rng.normal(size=(40, 3))
+        feats[:20, 0] = 0.0  # class 0 has no spread along the first axis
+        ds = LabeledDataset(feats, [0] * 20 + [1] * 20)
+        dims = (1, 2, 3)
+        got = _sweep_cers(ds, ds, np.eye(3), dims)
+        assert got == reference_sweep(ds, ds, np.eye(3), dims)
+        assert got == {1: None, 2: None, 3: None}
+
+    @settings(max_examples=15, deadline=None)
+    @given(sweep_problems(n_lo=lambda p: p + 1, n_hi=lambda p: p + 8),
+           st.integers(0, 2**32 - 1))
+    def test_test_row_order_is_irrelevant(self, problem, seed):
+        train, test, u_full, dims = problem
+        perm = np.random.default_rng(seed).permutation(test.n)
+        assert _sweep_cers(train, test.subset(perm), u_full, dims) == \
+            _sweep_cers(train, test, u_full, dims)
 
 
 class TestSelectDimension:

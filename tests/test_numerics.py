@@ -3,6 +3,7 @@ import pytest
 
 from ssdr.errors import InvalidInputError, NotSpdError
 from ssdr.numerics import (
+    cholesky_prefix,
     reduced_svd,
     spd_logdet_and_inverse,
     sym_eigen,
@@ -143,6 +144,33 @@ class TestSpdLogdetAndInverse:
             _, inv = spd_logdet_and_inverse(s)
             resid = np.linalg.norm(s @ inv - np.eye(p))
             assert resid <= 1e-8 * p
+
+
+class TestCholeskyPrefix:
+    def test_full_factor_on_spd(self):
+        s = random_spd(np.random.default_rng(29), 6)
+        chol, valid = cholesky_prefix(s)
+        assert valid == 6
+        np.testing.assert_allclose(chol @ chol.T, s, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(chol, np.tril(chol))
+
+    def test_valid_prefix_stops_at_failed_pivot(self):
+        # rank-2 Gram matrix of order 4: the pivot at position 2 fails
+        rng = np.random.default_rng(31)
+        g = rng.normal(size=(4, 2))
+        s = symmetrize(g @ g.T)
+        s[3, 3] = -1.0
+        chol, valid = cholesky_prefix(s)
+        assert valid == 2
+        np.testing.assert_allclose(chol[:2, :2],
+                                   np.linalg.cholesky(s[:2, :2]), rtol=1e-12)
+
+    def test_not_spd_pivot_matches_prefix(self):
+        s = np.diag([1.0, 2.0, -1.0, 3.0])
+        assert cholesky_prefix(s)[1] == 2
+        with pytest.raises(NotSpdError) as ei:
+            spd_logdet_and_inverse(s)
+        assert ei.value.pivot == 2
 
 
 class TestSymEigen:
