@@ -231,29 +231,22 @@ def cmd_cv(args) -> int:
         label_col = -1
     ds = load_csv(args.data, label_column=label_col,
                   header=not args.no_header)
-    spec = _estimator_spec_from_dict(
-        {
-            "estimator": args.estimator,
-            "lambda": args.mry_lambda,
-            "penalty": args.mry_penalty,
-            "gamma": args.mry_gamma,
-            "standardize_mean": args.mry_standardize_mean,
-        },
-        "estimator flags",
-    )
-    dims = None if args.r == "all" else tuple(
-        int(tok) for tok in args.r.split(","))
+    pipeline_cfg = {
+        "estimator": args.estimator,
+        "lambda": args.mry_lambda,
+        "penalty": args.mry_penalty,
+        "gamma": args.mry_gamma,
+        "standardize_mean": args.mry_standardize_mean,
+        "dims": args.r if args.r == "all" else args.r.split(","),
+        "standardize": args.standardize,
+        "jitter_sigma": args.jitter,
+        "tune": not args.no_tune,
+        "inner_folds": args.inner_folds,
+    }
+    pipeline = _pipeline_from_dict(pipeline_cfg, 0, ds.p)
+    if pipeline.dims is not None:
+        pipeline_cfg["dims"] = list(pipeline.dims)
     name = args.name or Path(args.data).stem
-    pipeline = PipelineSpec(
-        name=f"ssdr_{spec.kind}",
-        estimator=spec,
-        dims=dims,
-        standardize=args.standardize,
-        jitter_sigma=args.jitter,
-        tune_mry_lambda=not args.no_tune,
-        inner_folds=args.inner_folds,
-    )
-    pipeline.resolved_dims(ds.p)
     seed = args.seed
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "little")
@@ -271,13 +264,11 @@ def cmd_cv(args) -> int:
         "name": name,
         "data": str(args.data),
         "label_column": args.label_column,
-        "estimator": args.estimator,
+        "header": not args.no_header,
         "folds": args.folds,
         "repeats": args.repeats,
         "seed": seed,
-        "standardize": args.standardize,
-        "jitter": args.jitter,
-        "dims": args.r,
+        "pipeline": pipeline_cfg,
     }
     report_path, summary_path = _write_report_files(
         report, Path(args.out_dir), name, resolved)
@@ -304,7 +295,7 @@ def cmd_cv(args) -> int:
     return _exit_code(report)
 
 
-def _load_report(path) -> dict:
+def _load_report(path) -> CerReport:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -312,18 +303,14 @@ def _load_report(path) -> dict:
         raise UsageError(f"report file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON ({exc})") from exc
-    version = payload.get("schema_version")
-    if version != REPORT_SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"{path}: report schema_version {version!r}, "
-            f"expected {REPORT_SCHEMA_VERSION}"
-        )
-    return payload
+    try:
+        return CerReport.from_dict(payload)
+    except SchemaVersionError as exc:
+        raise SchemaVersionError(f"{path}: {exc}") from exc
 
 
 def cmd_select_dim(args) -> int:
-    payload = _load_report(args.report)
-    report = CerReport.from_dict(payload)
+    report = _load_report(args.report)
     methods = [m for m in report.methods() if m != "qda_full"] \
         if args.method is None else [args.method]
     if not methods:
@@ -337,8 +324,7 @@ def cmd_select_dim(args) -> int:
 def cmd_report(args) -> int:
     rows = []
     for path in args.reports:
-        payload = _load_report(path)
-        report = CerReport.from_dict(payload)
+        report = _load_report(path)
         dataset = report.metadata.get("dataset") \
             or report.metadata.get("config_id", Path(path).stem)
         for row in report.summary_rows():

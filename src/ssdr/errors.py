@@ -14,10 +14,16 @@ class SsdrError(Exception):
     """Base class for all errors raised by this package."""
 
     def __init__(self, message: str, *, class_id: int | None = None):
-        self.class_id = class_id
-        if class_id is not None:
-            message = f"class {class_id}: {message}"
         super().__init__(message)
+        self.class_id = None
+        if class_id is not None:
+            self.attach_class(class_id)
+
+    def attach_class(self, class_id: int) -> None:
+        """Name the class the error arose in, unless one is named already."""
+        if self.class_id is None:
+            self.class_id = class_id
+            self.args = (f"class {class_id}: {self.args[0]}",) + self.args[1:]
 
     def __reduce__(self):
         # Rebuild without __init__: subclasses take required keyword

@@ -36,6 +36,7 @@ from .errors import (
     NotSpdError,
     NumericalDomainError,
     SampleSizeError,
+    SsdrError,
 )
 from .numerics import spd_cholesky, spd_logdet_and_inverse, sym_eigen, symmetrize
 
@@ -174,7 +175,7 @@ def wang(cs: ClassSummary, grid_size: int = 1000) -> PrecisionEstimate:
 
     beta minimizes the empirical loss over [lambda_min(S), lambda_max(S)],
     located on a log-spaced grid of ``grid_size`` points and refined by
-    bisection around the grid minimum; ties go to the smallest beta.
+    ternary search around the grid minimum; ties go to the smallest beta.
     """
     n, p = cs.n_i, cs.p
     evals, _ = sym_eigen(cs.cov)
@@ -198,13 +199,12 @@ def wang(cs: ClassSummary, grid_size: int = 1000) -> PrecisionEstimate:
     if grid.size > 1:
         lo = grid[max(idx - 1, 0)]
         hi = grid[min(idx + 1, grid.size - 1)]
-        # bisection refinement on the bracketing interval
+        # ternary search on the bracketing interval
         for _ in range(60):
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
-            l1, _, _, b1 = _wang_loss(np.array([m1]), evals, p, n)
-            l2, _, _, b2 = _wang_loss(np.array([m2]), evals, p, n)
-            if l1[0] <= l2[0]:
+            pair, _, _, _ = _wang_loss(np.array([m1, m2]), evals, p, n)
+            if pair[0] <= pair[1]:
                 hi = m2
             else:
                 lo = m1
@@ -430,17 +430,22 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
 def estimate(cs: ClassSummary, spec: PrecisionEstimatorSpec) -> PrecisionEstimate:
     """Dispatch to the estimator named by spec.kind.
 
-    Guarantees an exactly symmetric SPD omega or a typed error.
+    Guarantees an exactly symmetric SPD omega or a typed error, which names
+    the class of ``cs``.
     """
-    if spec.kind == "sample_inverse":
-        return sample_inverse(cs)
-    if spec.kind == "haff":
-        return haff(cs)
-    if spec.kind == "wang":
-        return wang(cs, grid_size=spec.wang_grid_size)
-    if spec.kind == "bodnar":
-        return bodnar(cs, target=spec.bodnar_target,
-                      repair_eps=spec.spd_repair_eps)
-    if spec.kind == "mry":
-        return mry(cs, spec)
-    raise InvalidInputError(f"unknown estimator kind {spec.kind!r}")
+    try:
+        if spec.kind == "sample_inverse":
+            return sample_inverse(cs)
+        if spec.kind == "haff":
+            return haff(cs)
+        if spec.kind == "wang":
+            return wang(cs, grid_size=spec.wang_grid_size)
+        if spec.kind == "bodnar":
+            return bodnar(cs, target=spec.bodnar_target,
+                          repair_eps=spec.spd_repair_eps)
+        if spec.kind == "mry":
+            return mry(cs, spec)
+        raise InvalidInputError(f"unknown estimator kind {spec.kind!r}")
+    except SsdrError as exc:
+        exc.attach_class(cs.class_id)
+        raise

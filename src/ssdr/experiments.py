@@ -1,13 +1,18 @@
 """Monte Carlo and cross-validation benchmarking of the reduction pipelines.
 
 A pipeline is one precision estimator plus a sweep over reduced dimensions.
-For every training/test split the pipeline builds the discriminant matrix,
-extracts the projection basis once, and records for each r the estimated
+For every training/test split, ``_pipeline_cers`` studentizes (if asked),
+tunes the MRY penalty (if asked), builds the discriminant matrix, extracts
+the projection basis once, and records for each r the estimated
 conditional error rate of plain QDA fitted on the projected training data
 and applied to the projected test data. One Cholesky factorization per
 class serves every r of the sweep (see ``_sweep_cers``). The full-feature
 QDA error is always recorded as a baseline under the method name
-"qda_full".
+"qda_full". The Monte Carlo and CV workers both go through these two
+functions, and ``_study_report`` turns their per-unit results into a
+CerReport. Penalty tuning (``_grid_scores_one_split``) repeats only the
+discriminant matrix -> SVD -> sweep steps, because its candidate fits are
+warm-started ``mry`` solves rather than ``build_discriminant_matrix`` fits.
 
 Reproducibility contract: every work unit (replicate, repeat, tuning split)
 derives its RNG stream from the master seed and the unit index via
@@ -204,9 +209,13 @@ def _mvn_rows(mean: np.ndarray, chol: np.ndarray, n: int,
     return mean + z @ chol.T
 
 
-def _full_qda_cer(train: LabeledDataset, test: LabeledDataset) -> float:
-    model = qda.fit(summarize(train), _SAMPLE_SPEC)
-    return qda.conditional_error_rate(model, test)
+def _full_qda_cer(train: LabeledDataset, test: LabeledDataset) -> float | None:
+    """Full-feature sample-inverse QDA error; None when the fit fails."""
+    try:
+        return qda.conditional_error_rate(
+            qda.fit(summarize(train), _SAMPLE_SPEC), test)
+    except SsdrError:
+        return None
 
 
 def _sweep_cers(train: LabeledDataset, test: LabeledDataset,
@@ -257,15 +266,25 @@ def _sweep_cers(train: LabeledDataset, test: LabeledDataset,
 
 
 def _pipeline_cers(train: LabeledDataset, test: LabeledDataset,
-                   spec: PrecisionEstimatorSpec, dims) -> dict:
-    """Fit one resolved pipeline (no tuning) and sweep dimensions."""
+                   pipeline: PipelineSpec, dims, mode: str, rng) -> dict:
+    """One pipeline's error per r in dims on one training/test split.
+
+    Studentizes the split when the pipeline asks for it, tunes the MRY
+    penalty on the training part (``mode`` and ``rng`` as in tune_lambda),
+    builds the discriminant matrix, and sweeps its basis. Any failure leaves
+    every r of the split missing.
+    """
     try:
-        summaries = summarize(train)
-        mhat = build_discriminant_matrix(summaries, spec)
-        u_full, _, _ = svd_full(mhat)
+        if pipeline.standardize:
+            train, test = standardize(train, test)
+        spec = pipeline.estimator
+        if spec.kind == "mry" and pipeline.tune_mry_lambda:
+            spec = spec.with_lambda(
+                tune_lambda(train, pipeline, mode=mode, rng=rng))
+        u_full, _, _ = svd_full(build_discriminant_matrix(summarize(train), spec))
+        return _sweep_cers(train, test, u_full, dims)
     except SsdrError:
-        return {r: None for r in dims}
-    return _sweep_cers(train, test, u_full, dims)
+        return dict.fromkeys(dims)
 
 
 def lambda_grid(summaries, grid_size: int = 10, c_lo: float = 1e-3,
@@ -352,7 +371,9 @@ def _grid_scores_one_split(sub: LabeledDataset, val: LabeledDataset,
                 fitted = mry(cs, spec, warm_start=warm[cs.class_id])
                 warm[cs.class_id] = fitted.omega
                 omegas.append(fitted.omega)
-            mhat = discriminant_matrix_from(summaries, omegas)
+            mhat = discriminant_matrix_from(
+                [cs.mean for cs in summaries], [cs.cov for cs in summaries],
+                omegas)
             u_full, _, _ = svd_full(mhat)
             scores[float(lam)] = _candidate_score(
                 _sweep_cers(sub, val, u_full, dims))
@@ -411,15 +432,6 @@ def tune_lambda(train: LabeledDataset, pipeline: PipelineSpec,
     return best_lam
 
 
-def _resolve_pipeline_spec(train: LabeledDataset, pipeline: PipelineSpec,
-                           mode: str, rng) -> PrecisionEstimatorSpec:
-    spec = pipeline.estimator
-    if spec.kind == "mry" and pipeline.tune_mry_lambda:
-        lam = tune_lambda(train, pipeline, mode=mode, rng=rng)
-        spec = spec.with_lambda(lam)
-    return spec
-
-
 def _mc_replicate_worker(args) -> dict:
     cfg, pipelines, j = args
     chols = [spd_cholesky(c) for c in cfg.covs]
@@ -440,28 +452,15 @@ def _mc_replicate_worker(args) -> dict:
     train = LabeledDataset(allfeat[train_mask], alllab[train_mask])
     test = LabeledDataset(allfeat[~train_mask], alllab[~train_mask])
 
-    out = {}
-    try:
-        out[("qda_full", None)] = _full_qda_cer(train, test)
-    except SsdrError:
-        out[("qda_full", None)] = None
-
+    out = {("qda_full", None): _full_qda_cer(train, test)}
     for idx, pl in enumerate(pipelines):
         dims = pl.resolved_dims(cfg.p)
         pl_rng = np.random.default_rng(
             np.random.SeedSequence(cfg.master_seed,
                                    spawn_key=(_NS_REPLICATE, j, idx))
         )
-        tr, te = train, test
-        try:
-            if pl.standardize:
-                tr, te = standardize(tr, te)
-            spec = _resolve_pipeline_spec(tr, pl, "holdout", pl_rng)
-            cers = _pipeline_cers(tr, te, spec, dims)
-        except SsdrError:
-            cers = {r: None for r in dims}
-        for r in dims:
-            out[(pl.name, r)] = cers[r]
+        cers = _pipeline_cers(train, test, pl, dims, "holdout", pl_rng)
+        out.update(((pl.name, r), cers[r]) for r in dims)
     return out
 
 
@@ -470,6 +469,27 @@ def _parallel_map(fn, items, threads: int):
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
+
+
+def _study_report(metadata: dict, pipelines, p: int, results) -> CerReport:
+    """Fold per-unit {(method, r): rate or None} results into one report.
+
+    Cells are the qda_full baseline, then every pipeline's dimensions in
+    order; a None rate counts as a failure of its cell.
+    """
+    report = CerReport(metadata=metadata)
+    keys = [("qda_full", None)] + [
+        (pl.name, r) for pl in pipelines for r in pl.resolved_dims(p)]
+    for key in keys:
+        cell = report.cell(*key)
+        for res in results:
+            rate = res.get(key)
+            if rate is None:
+                cell.failures += 1
+            else:
+                cell.rates.append(rate)
+    report.validate()
+    return report
 
 
 def run_mc_study(cfg: SimulationConfig, pipelines,
@@ -488,7 +508,7 @@ def run_mc_study(cfg: SimulationConfig, pipelines,
     args = [(cfg, pipelines, j) for j in range(cfg.replicates)]
     results = _parallel_map(_mc_replicate_worker, args, threads)
 
-    report = CerReport(metadata={
+    return _study_report({
         "kind": "simulate",
         "config_id": cfg.config_id,
         "p": cfg.p,
@@ -500,20 +520,7 @@ def run_mc_study(cfg: SimulationConfig, pipelines,
         "master_seed": cfg.master_seed,
         "means": [np.asarray(m).tolist() for m in cfg.means],
         "pipelines": [pl.name for pl in pipelines],
-    })
-    keys = [("qda_full", None)]
-    for pl in pipelines:
-        keys += [(pl.name, r) for r in pl.resolved_dims(cfg.p)]
-    for method, r in keys:
-        cell = report.cell(method, r)
-        for res in results:
-            rate = res.get((method, r))
-            if rate is None:
-                cell.failures += 1
-            else:
-                cell.rates.append(rate)
-    report.validate()
-    return report
+    }, pipelines, cfg.p, results)
 
 
 def _cv_repeat_worker(args) -> dict:
@@ -527,28 +534,21 @@ def _cv_repeat_worker(args) -> dict:
     for f in range(folds):
         train = ds.subset(fold_ids != f)
         test = ds.subset(fold_ids == f)
-        try:
-            if pipeline.standardize:
-                train, test = standardize(train, test)
-        except SsdrError:
-            # a degenerate training fold leaves every cell of the fold missing
-            for vals in fold_cers.values():
-                vals.append(None)
-            continue
-        try:
-            fold_cers[("qda_full", None)].append(_full_qda_cer(train, test))
-        except SsdrError:
-            fold_cers[("qda_full", None)].append(None)
         fold_rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(_NS_CV_REPEAT, t, f))
         )
-        try:
-            spec = _resolve_pipeline_spec(train, pipeline, "cv", fold_rng)
-            cers = _pipeline_cers(train, test, spec, dims)
-        except SsdrError:
-            cers = {r: None for r in dims}
+        # the pipeline studentizes the raw fold itself
+        cers = _pipeline_cers(train, test, pipeline, dims, "cv", fold_rng)
         for r in dims:
             fold_cers[(pipeline.name, r)].append(cers[r])
+        # unlike the Monte Carlo baseline, qda_full sees the studentized fold
+        try:
+            if pipeline.standardize:
+                train, test = standardize(train, test)
+            full = _full_qda_cer(train, test)
+        except SsdrError:  # a training fold that cannot be studentized
+            full = None
+        fold_cers[("qda_full", None)].append(full)
     out = {}
     for key, vals in fold_cers.items():
         out[key] = None if any(v is None for v in vals) else float(np.mean(vals))
@@ -577,7 +577,7 @@ def repeated_kfold_cv(ds: LabeledDataset, pipeline: PipelineSpec,
     args = [(ds, pipeline, folds, seed, t, dims) for t in range(repeats)]
     results = _parallel_map(_cv_repeat_worker, args, threads)
 
-    report = CerReport(metadata={
+    return _study_report({
         "kind": "cv",
         "n": ds.n, "p": ds.p, "k": ds.k,
         "folds": folds, "repeats": repeats, "master_seed": seed,
@@ -585,18 +585,7 @@ def repeated_kfold_cv(ds: LabeledDataset, pipeline: PipelineSpec,
         "jitter_sigma": pipeline.jitter_sigma,
         "jitter_seed": jitter_seed,
         "pipelines": [pipeline.name],
-    })
-    keys = [("qda_full", None)] + [(pipeline.name, r) for r in dims]
-    for method, r in keys:
-        cell = report.cell(method, r)
-        for res in results:
-            rate = res.get((method, r))
-            if rate is None:
-                cell.failures += 1
-            else:
-                cell.rates.append(rate)
-    report.validate()
-    return report
+    }, [pipeline], ds.p, results)
 
 
 def select_dimension(report: CerReport, method: str | None = None):

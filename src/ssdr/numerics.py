@@ -101,11 +101,15 @@ def reduced_svd(m, rank_tol: float = DEFAULT_RANK_TOL):
     if rank_tol <= 0:
         raise InvalidInputError(f"rank_tol must be > 0, got {rank_tol}")
     u, d, vt = svd_full(m)
-    if d.size == 0 or d[0] == 0.0:
-        q = 0
-    else:
-        q = int(np.count_nonzero(d > rank_tol * d[0]))
+    q = numerical_rank(d, rank_tol)
     return u[:, :q], d, vt[:q, :].T, q
+
+
+def numerical_rank(d: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Count of descending singular values d above rank_tol * d[0]."""
+    if d.size == 0 or d[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(d > rank_tol * d[0]))
 
 
 def cholesky_prefix(s) -> tuple[np.ndarray, int]:

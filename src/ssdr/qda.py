@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import ClassSummary, LabeledDataset
-from .errors import InvalidInputError, SsdrError
+from .errors import InvalidInputError, SchemaVersionError
 from .estimators import PrecisionEstimatorSpec, estimate
-from .numerics import spd_logdet_and_inverse, symmetrize
+from .numerics import spd_cholesky, spd_logdet_and_inverse, symmetrize
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,9 @@ def fit(summaries: list[ClassSummary],
     means = np.array([c.mean for c in summaries])
     precisions, logdets = [], []
     for cs in summaries:
-        try:
-            est = estimate(cs, spec)
-        except SsdrError as exc:
-            if exc.class_id is None:
-                exc.class_id = cs.class_id
-                exc.args = (f"class {cs.class_id}: {exc.args[0]}",) + exc.args[1:]
-            raise
-        precisions.append(est.omega)
-        logdet_omega, _ = spd_logdet_and_inverse(est.omega)
-        logdets.append(-logdet_omega)
+        omega = estimate(cs, spec).omega
+        precisions.append(omega)
+        logdets.append(-2.0 * float(np.sum(np.log(np.diag(spd_cholesky(omega))))))
     return QdaModel(priors=priors, means=means,
                     precisions=np.array(precisions),
                     cov_logdets=np.array(logdets))
@@ -209,8 +202,6 @@ class CerReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CerReport":
-        from .errors import SchemaVersionError
-
         version = d.get("schema_version")
         if version != REPORT_SCHEMA_VERSION:
             raise SchemaVersionError(

@@ -9,6 +9,11 @@ projecting onto that subspace provably preserves the QDA decision for every
 observation. ``qda_invariance_check`` and ``subspace_identity_residuals``
 make that guarantee executable, and ``random_theorem_fixture`` draws random
 populations with exactly this structure.
+
+``discriminant_matrix_from`` is the one place the target is assembled:
+``build_discriminant_matrix`` feeds it estimated precisions and
+``theorem_fixture`` exact ones. Exact-parameter QDA scores come from
+``qda.fit_from_parameters`` and ``qda.scores``.
 """
 
 from __future__ import annotations
@@ -18,14 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import qda
 from .datamodel import ClassSummary, LabeledDataset
-from .errors import InvalidInputError, SsdrError, TheoremInapplicableError
+from .errors import InvalidInputError, TheoremInapplicableError
 from .estimators import PrecisionEstimatorSpec, estimate
 from .numerics import (
     DEFAULT_RANK_TOL,
-    check_matrix,
+    numerical_rank,
     reduced_svd,
-    spd_cholesky,
     spd_logdet_and_inverse,
     svd_full,
     symmetrize,
@@ -62,65 +67,40 @@ class ProjectionBasis:
             raise InvalidInputError("singular values must be non-increasing")
 
 
-def discriminant_matrix_from(summaries: list[ClassSummary],
-                             omegas: list[np.ndarray]) -> np.ndarray:
-    """Assemble the reduction target from summaries and their precisions.
+def discriminant_matrix_from(means, covs, omegas) -> np.ndarray:
+    """Assemble the p x (k-1)(p+1) reduction target from class parameters.
 
-    ``omegas[i]`` must correspond to ``summaries[i]``; both are taken in
-    ascending class_id order with the lowest class_id as reference.
+    ``means``, ``covs`` and ``omegas`` (precision matrices) are given in
+    class order, and the first class is the reference. Mean-direction
+    columns are omega_i mu_i - omega_0 mu_0; covariance-difference columns
+    are Sigma_i - Sigma_0.
     """
-    if len(summaries) < 2:
+    k = len(means)
+    if k < 2:
         raise InvalidInputError("need at least 2 classes")
-    if len(omegas) != len(summaries):
-        raise InvalidInputError("one precision matrix per class is required")
-    order = np.argsort([c.class_id for c in summaries])
-    summaries = [summaries[i] for i in order]
-    omegas = [omegas[i] for i in order]
-    p = summaries[0].p
-    if any(c.p != p for c in summaries):
-        raise InvalidInputError("class summaries disagree on dimension p")
-    ref = summaries[0]
-    g_ref = omegas[0] @ ref.mean
-    mean_cols = [omegas[i] @ summaries[i].mean - g_ref
-                 for i in range(1, len(summaries))]
-    cov_cols = [np.asarray(summaries[i].cov) - np.asarray(ref.cov)
-                for i in range(1, len(summaries))]
+    if len(covs) != k or len(omegas) != k:
+        raise InvalidInputError("one covariance and precision matrix per class "
+                                "is required")
+    if any(np.shape(m) != np.shape(means[0]) for m in means):
+        raise InvalidInputError("class means disagree on dimension p")
+    g_ref = omegas[0] @ means[0]
+    mean_cols = [omegas[i] @ means[i] - g_ref for i in range(1, k)]
+    cov_cols = [np.asarray(covs[i]) - np.asarray(covs[0]) for i in range(1, k)]
     return np.column_stack(mean_cols + cov_cols)
 
 
 def build_discriminant_matrix(summaries: list[ClassSummary],
                               spec: PrecisionEstimatorSpec) -> np.ndarray:
-    """Assemble the p x (k-1)(p+1) reduction target from class summaries.
+    """Reduction target from class summaries and the precisions of ``spec``.
 
-    The reference class is the lowest class_id. Mean-direction columns use
-    the precision estimates from ``spec``; covariance-difference columns use
-    the raw ML covariances. Estimator failures propagate annotated with the
-    class id.
+    The reference class is the lowest class_id. Covariance-difference
+    columns use the raw ML covariances. Estimator failures propagate
+    annotated with the class id.
     """
-    if len(summaries) < 2:
-        raise InvalidInputError("need at least 2 classes")
-    omegas = []
-    for cs in summaries:
-        try:
-            omegas.append(estimate(cs, spec).omega)
-        except SsdrError as exc:
-            if exc.class_id is None:
-                exc.class_id = cs.class_id
-                exc.args = (f"class {cs.class_id}: {exc.args[0]}",) + exc.args[1:]
-            raise
-    return discriminant_matrix_from(summaries, omegas)
-
-
-def discriminant_matrix_exact(means, covs) -> np.ndarray:
-    """Reduction target built from exact population parameters."""
-    if len(means) < 2 or len(means) != len(covs):
-        raise InvalidInputError("need k >= 2 means with matching covariances")
-    precisions = [spd_logdet_and_inverse(c)[1] for c in covs]
-    g = [om @ np.asarray(m, dtype=float) for om, m in zip(precisions, means)]
-    mean_cols = [g[i] - g[0] for i in range(1, len(means))]
-    cov_cols = [symmetrize(covs[i]) - symmetrize(covs[0])
-                for i in range(1, len(covs))]
-    return np.column_stack(mean_cols + cov_cols)
+    summaries = sorted(summaries, key=lambda c: c.class_id)
+    omegas = [estimate(cs, spec).omega for cs in summaries]
+    return discriminant_matrix_from([cs.mean for cs in summaries],
+                                    [cs.cov for cs in summaries], omegas)
 
 
 def projection_basis(mhat, r: int,
@@ -130,19 +110,11 @@ def projection_basis(mhat, r: int,
     r may exceed the numerical rank; the extra columns come from the SVD's
     orthonormal completion and ``beyond_rank`` is flagged.
     """
-    mhat = check_matrix(mhat, "discriminant matrix")
-    p = mhat.shape[0]
+    u, d, _ = svd_full(mhat)
+    p = u.shape[0]
     if not 1 <= r <= p:
         raise InvalidInputError(f"r must be in 1..{p}, got {r}")
-    u, d, _ = svd_full(mhat)
-    if d.size == 0 or d[0] == 0.0:
-        q = 0
-    else:
-        q = int(np.count_nonzero(d > rank_tol * d[0]))
-    if r > u.shape[1]:
-        raise InvalidInputError(
-            f"cannot extract {r} basis columns from a p={p} SVD"
-        )
+    q = numerical_rank(d, rank_tol)
     return ProjectionBasis(
         u=u[:, :r],
         singular_values=d,
@@ -206,15 +178,15 @@ def theorem_fixture(means, covs, priors=None, r_matrix=None,
     if k < 2 or len(covs) != k:
         raise InvalidInputError("need k >= 2 classes")
     p = means[0].size
-    for c in covs:
-        spd_cholesky(c)  # raises NotSpdError if not SPD
+    # raises NotSpdError if a covariance is not SPD
+    precisions = [spd_logdet_and_inverse(c)[1] for c in covs]
     if priors is None:
         priors = np.full(k, 1.0 / k)
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (k,) or abs(priors.sum() - 1.0) > 1e-12:
         raise InvalidInputError("priors must be k values summing to 1")
 
-    m = discriminant_matrix_exact(means, covs)
+    m = discriminant_matrix_from(means, covs, precisions)
     u, d, _, q = reduced_svd(m)
     if r_matrix is None:
         r_matrix = np.random.default_rng(seed).normal(size=(p - q, p))
@@ -282,17 +254,6 @@ class InvarianceResult(NamedTuple):
     gap_reduced: np.ndarray
 
 
-def _qda_scores_exact(x, means, covs, priors) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    scores = np.empty((x.shape[0], len(means)))
-    for i, (mu, cov, pi) in enumerate(zip(means, covs, priors)):
-        logdet, inv = spd_logdet_and_inverse(cov)
-        diff = x - mu
-        scores[:, i] = logdet - 2.0 * np.log(pi) \
-            + np.einsum("nj,jk,nk->n", diff, inv, diff)
-    return scores
-
-
 def qda_invariance_check(fix: TheoremFixture, x) -> InvarianceResult:
     """Compare full-space and reduced-space QDA argmins at points x.
 
@@ -310,11 +271,11 @@ def qda_invariance_check(fix: TheoremFixture, x) -> InvarianceResult:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != fix.p:
         raise InvalidInputError(f"points must have dimension {fix.p}")
-    full = _qda_scores_exact(x, fix.means, fix.covs, fix.priors)
-    t = x @ fix.u
+    full = qda.scores(qda.fit_from_parameters(fix.means, fix.covs, fix.priors), x)
     red_means = [fix.u.T @ m for m in fix.means]
     red_covs = [symmetrize(fix.u.T @ c @ fix.u) for c in fix.covs]
-    red = _qda_scores_exact(t, red_means, red_covs, fix.priors)
+    red = qda.scores(qda.fit_from_parameters(red_means, red_covs, fix.priors),
+                     x @ fix.u)
 
     def gaps(scores):
         part = np.partition(scores, 1, axis=1)

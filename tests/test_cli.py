@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from ssdr import cli
 from ssdr.cli import main, resolve_threads
 from ssdr.datamodel import LabeledDataset, write_csv
+from ssdr.experiments import repeated_kfold_cv
 
 
 def run_cli(*argv):
@@ -188,6 +190,41 @@ class TestCv:
             reports.append(payload)
         assert reports[0] == reports[1]
 
+    def test_resolved_config_rebuilds_the_pipeline(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        data = tmp_path / "blobs.csv"
+        ds = write_blob_csv(data, rng)
+        ran = []
+
+        def spy(data_set, pipeline, **kwargs):
+            ran.append(pipeline)
+            return repeated_kfold_cv(data_set, pipeline, **kwargs)
+
+        monkeypatch.setattr(cli, "repeated_kfold_cv", spy)
+        code = run_cli("cv", "--data", data, "--estimator", "mry",
+                       "--mry-lambda", 0.3, "--mry-penalty", "qda",
+                       "--mry-gamma", 2.0, "--mry-standardize-mean",
+                       "--no-tune", "--inner-folds", 3, "--r", "1,2",
+                       "--standardize", "--folds", 5, "--repeats", 1,
+                       "--seed", 8, "--out-dir", tmp_path, "--threads", 1)
+        assert code in (0, 2)
+        resolved = load_json(tmp_path / "blobs_report.json")["resolved_config"]
+        assert resolved["header"] is True
+        pipeline = resolved["pipeline"]
+        assert pipeline["lambda"] == 0.3 and pipeline["penalty"] == "qda"
+        assert pipeline["tune"] is False and pipeline["inner_folds"] == 3
+        assert pipeline["dims"] == [1, 2]
+        assert cli._pipeline_from_dict(pipeline, 0, ds.p) == ran[0]
+
+    def test_bad_dimension_list_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        data = tmp_path / "blobs.csv"
+        write_blob_csv(data, rng)
+        code = run_cli("cv", "--data", data, "--r", "1,x", "--seed", 1,
+                       "--out-dir", tmp_path)
+        assert code == 1
+        assert "dims" in capsys.readouterr().err
+
 
 class TestSelectDimAndReport:
     @pytest.fixture()
@@ -238,7 +275,9 @@ class TestSelectDimAndReport:
         bad.write_text(json.dumps({"schema_version": 999, "cells": []}))
         code = run_cli("report", bad, "--out", tmp_path / "m.csv")
         assert code == 1
-        assert "schema" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert "schema" in err.lower()
+        assert "bad.json" in err
 
 
 class TestThreads:

@@ -11,7 +11,6 @@ from ssdr.errors import (
 from ssdr.estimators import PrecisionEstimatorSpec
 from ssdr.reduction import (
     build_discriminant_matrix,
-    discriminant_matrix_exact,
     project,
     projection_basis,
     qda_invariance_check,
@@ -258,10 +257,10 @@ class TestTheoremMachinery:
             )
 
     def test_exact_matrix_matches_estimated_on_exact_summaries(self):
-        m_exact = discriminant_matrix_exact(
+        m_exact = theorem_fixture(
             [s.mean for s in RANK1_SUMMARIES],
             [s.cov for s in RANK1_SUMMARIES],
-        )
+        ).m
         m_est = build_discriminant_matrix(RANK1_SUMMARIES, SAMPLE)
         np.testing.assert_allclose(m_exact, m_est, atol=1e-12)
 
