@@ -40,6 +40,36 @@ ESTIMATOR_ALIASES = {
     "mry": "mry",
 }
 
+# A pipeline's config keys: each maps to the PrecisionEstimatorSpec or
+# PipelineSpec field it sets ("estimator" takes an ESTIMATOR_ALIASES name).
+# Any other key is rejected, so a report's resolved config never records a
+# setting the run ignored.
+ESTIMATOR_KEYS = {
+    "estimator": "kind",
+    "lambda": "mry_lambda",
+    "penalty": "mry_penalty",
+    "gamma": "mry_gamma",
+    "standardize_mean": "mry_standardize_mean",
+    "bodnar_target": "bodnar_target",
+    "admm_max_iters": "admm_max_iters",
+    "admm_tol": "admm_tol",
+}
+PIPELINE_KEYS = {
+    "name": "name",
+    "dims": "dims",
+    "standardize": "standardize",
+    "tune": "tune_mry_lambda",
+    "lambda_grid_size": "lambda_grid_size",
+    "lambda_c_lo": "lambda_c_lo",
+    "lambda_c_hi": "lambda_c_hi",
+}
+# Top-level keys of a simulate config file. "command" and "n_i" are
+# recorded in every simulate report's resolved config; a file may carry
+# them so that config re-runs, but they must agree with the run.
+SIMULATE_KEYS = ("schema_version", "command", "name", "config_id",
+                 "n_policy", "n_i", "replicates", "seed", "pool_size",
+                 "pipelines")
+
 
 class UsageError(SsdrError):
     """Bad flags or configuration file contents."""
@@ -57,55 +87,45 @@ def resolve_threads(requested: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _estimator_spec_from_dict(d: dict, where: str) -> PrecisionEstimatorSpec:
+def _reject_unknown_keys(d: dict, accepted, where: str) -> None:
+    unknown = sorted(set(d) - set(accepted))
+    if unknown:
+        raise UsageError(
+            f"{where}: unknown keys {unknown} (accepted: {sorted(accepted)})")
+
+
+def _pipeline_from_dict(d: dict, where: str, p: int) -> PipelineSpec:
+    """Build and validate one pipeline from its config keys.
+
+    ``where`` names the pipeline in error messages; ``p`` is the run's
+    dimension, against which ``dims`` is checked.
+    """
+    _reject_unknown_keys(d, {**ESTIMATOR_KEYS, **PIPELINE_KEYS}, where)
     kind = d.get("estimator", "sample")
     if kind not in ESTIMATOR_ALIASES:
         raise UsageError(
             f"{where}: unknown estimator {kind!r} "
-            f"(choose from {sorted(set(ESTIMATOR_ALIASES))})"
+            f"(choose from {sorted(ESTIMATOR_ALIASES)})"
         )
-    kwargs = {"kind": ESTIMATOR_ALIASES[kind]}
-    for key, spec_key in [
-        ("lambda", "mry_lambda"),
-        ("penalty", "mry_penalty"),
-        ("gamma", "mry_gamma"),
-        ("standardize_mean", "mry_standardize_mean"),
-        ("bodnar_target", "bodnar_target"),
-        ("wang_grid_size", "wang_grid_size"),
-        ("spd_repair_eps", "spd_repair_eps"),
-        ("admm_max_iters", "admm_max_iters"),
-        ("admm_tol", "admm_tol"),
-    ]:
-        if key in d:
-            kwargs[spec_key] = d[key]
-    try:
-        return PrecisionEstimatorSpec(**kwargs)
-    except SsdrError as exc:
-        raise UsageError(f"{where}: {exc}") from exc
-
-
-def _pipeline_from_dict(d: dict, index: int, p: int) -> PipelineSpec:
-    where = f"pipelines[{index}]"
-    spec = _estimator_spec_from_dict(d, where)
-    name = d.get("name") or f"ssdr_{spec.kind}"
-    dims = d.get("dims", "all")
+    est = {field: d[key] for key, field in ESTIMATOR_KEYS.items() if key in d}
+    est["kind"] = ESTIMATOR_ALIASES[kind]
+    fields = {field: d[key] for key, field in PIPELINE_KEYS.items() if key in d}
+    dims = fields.pop("dims", "all")
     if dims == "all":
-        dims_t = None
+        fields["dims"] = None
     else:
         try:
-            dims_t = tuple(int(r) for r in dims)
+            fields["dims"] = tuple(int(r) for r in dims)
         except (TypeError, ValueError):
-            raise UsageError(f"{where}.dims must be 'all' or a list of ints") from None
-    kwargs = {}
-    for key in ("standardize", "jitter_sigma", "tune_mry_lambda",
-                "lambda_grid_size", "lambda_c_lo", "lambda_c_hi",
-                "validation_fraction", "inner_folds"):
-        if key in d:
-            kwargs[key] = d[key]
-    if "tune" in d:
-        kwargs["tune_mry_lambda"] = bool(d["tune"])
-    pl = PipelineSpec(name=name, estimator=spec, dims=dims_t, **kwargs)
-    pl.resolved_dims(p)  # validate against this run's dimension
+            raise UsageError(
+                f"{where}: dims must be 'all' or a list of ints") from None
+    try:
+        spec = PrecisionEstimatorSpec(**est)
+        fields["name"] = fields.get("name") or f"ssdr_{spec.kind}"
+        pl = PipelineSpec(estimator=spec, **fields)
+        pl.resolved_dims(p)  # validate against this run's dimension
+    except SsdrError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
     return pl
 
 
@@ -169,6 +189,7 @@ def _exit_code(report: CerReport) -> int:
 
 def cmd_simulate(args) -> int:
     file_cfg = _load_json_config(args.config) if args.config else {}
+    _reject_unknown_keys(file_cfg, SIMULATE_KEYS, args.config)
     # flag > file > default
     config_id = args.config_id if args.config_id is not None \
         else file_cfg.get("config_id")
@@ -192,9 +213,13 @@ def cmd_simulate(args) -> int:
                                 master_seed=int(seed), pool_size=pool_size)
     except SsdrError as exc:
         raise UsageError(f"config_id/n_policy: {exc}") from exc
+    for key, value in (("command", "simulate"), ("n_i", cfg.n_i)):
+        if file_cfg.get(key, value) != value:
+            raise UsageError(f"{args.config}: {key} is {file_cfg[key]!r}, "
+                             f"but this run has {value!r}")
 
     pipelines = [
-        _pipeline_from_dict(d, i, cfg.p)
+        _pipeline_from_dict(d, f"pipelines[{i}]", cfg.p)
         for i, d in enumerate(file_cfg.get("pipelines", []))
     ]
     threads = resolve_threads(args.threads)
@@ -206,7 +231,7 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "name": name,
         "config_id": cfg.config_id,
-        "n_policy": cfg.n_policy,
+        "n_policy": n_policy,
         "n_i": cfg.n_i,
         "replicates": cfg.replicates,
         "seed": cfg.master_seed,
@@ -239,11 +264,9 @@ def cmd_cv(args) -> int:
         "standardize_mean": args.mry_standardize_mean,
         "dims": args.r if args.r == "all" else args.r.split(","),
         "standardize": args.standardize,
-        "jitter_sigma": args.jitter,
         "tune": not args.no_tune,
-        "inner_folds": args.inner_folds,
     }
-    pipeline = _pipeline_from_dict(pipeline_cfg, 0, ds.p)
+    pipeline = _pipeline_from_dict(pipeline_cfg, "cv", ds.p)
     if pipeline.dims is not None:
         pipeline_cfg["dims"] = list(pipeline.dims)
     name = args.name or Path(args.data).stem
@@ -254,7 +277,8 @@ def cmd_cv(args) -> int:
     threads = resolve_threads(args.threads)
     report = repeated_kfold_cv(ds, pipeline, folds=args.folds,
                                repeats=args.repeats, seed=seed,
-                               threads=threads)
+                               threads=threads, inner_folds=args.inner_folds,
+                               jitter_sigma=args.jitter)
     report.metadata["dataset"] = name
     report.metadata["threads"] = threads
 
@@ -266,6 +290,8 @@ def cmd_cv(args) -> int:
         "label_column": args.label_column,
         "header": not args.no_header,
         "folds": args.folds,
+        "inner_folds": args.inner_folds,
+        "jitter": args.jitter,
         "repeats": args.repeats,
         "seed": seed,
         "pipeline": pipeline_cfg,

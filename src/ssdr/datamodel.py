@@ -22,8 +22,6 @@ from .errors import (
 )
 from .numerics import symmetrize
 
-PRIOR_POLICIES = ("proportional", "equal", "explicit")
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
@@ -130,42 +128,26 @@ class ClassSummary:
         return self.mean.size
 
 
-def summarize(ds: LabeledDataset, prior_policy: str = "proportional",
-              explicit_priors=None, unbiased: bool = False) -> list[ClassSummary]:
+def summarize(ds: LabeledDataset) -> list[ClassSummary]:
     """Per-class means, covariances, and priors.
 
-    Covariances use the maximum likelihood divisor n_i; pass unbiased=True
-    for the n_i - 1 divisor (sensitivity checks only). Priors follow
-    prior_policy: "proportional" (n_i / n), "equal" (1/k), or "explicit"
-    (explicit_priors must sum to 1).
+    Covariances use the maximum likelihood divisor n_i; priors are the class
+    proportions n_i / n.
     """
-    if prior_policy not in PRIOR_POLICIES:
-        raise InvalidInputError(f"unknown prior_policy {prior_policy!r}")
-    k, n = ds.k, ds.n
     counts = ds.class_counts()
     small = np.nonzero(counts < 2)[0]
     if small.size:
         raise SampleSizeError(
             f"classes {small.tolist()} have fewer than 2 observations"
         )
-    if prior_policy == "proportional":
-        priors = counts / n
-    elif prior_policy == "equal":
-        priors = np.full(k, 1.0 / k)
-    else:
-        if explicit_priors is None:
-            raise InvalidInputError("explicit prior_policy requires weights")
-        priors = np.asarray(explicit_priors, dtype=float)
-        if priors.shape != (k,) or abs(priors.sum() - 1.0) > 1e-12:
-            raise InvalidInputError("explicit priors must be k weights summing to 1")
+    priors = counts / ds.n
     out = []
-    for i in range(k):
+    for i in range(ds.k):
         x = ds.features[ds.labels == i]
         n_i = x.shape[0]
         mean = x.mean(axis=0)
         centered = x - mean
-        div = n_i - 1 if unbiased else n_i
-        cov = symmetrize(centered.T @ centered / div)
+        cov = symmetrize(centered.T @ centered / n_i)
         out.append(ClassSummary(class_id=i, n_i=n_i, mean=mean, cov=cov,
                                 prior=float(priors[i])))
     return out
@@ -210,8 +192,7 @@ def jitter(ds: LabeledDataset, sigma: float, seed: int) -> LabeledDataset:
     return ds.with_features(ds.features + noise)
 
 
-def load_csv(path, label_column=-1, header: bool = True,
-             class_label_map: dict[str, int] | None = None) -> LabeledDataset:
+def load_csv(path, label_column=-1, header: bool = True) -> LabeledDataset:
     """Load a labeled dataset from an RFC-4180-style CSV file.
 
     Parameters
@@ -223,12 +204,10 @@ def load_csv(path, label_column=-1, header: bool = True,
         from the end) or by header name (requires header=True).
     header : bool
         Whether the first row is a header.
-    class_label_map : dict, optional
-        Explicit label-string -> class-id map. Without it, labels are coded
-        0..k-1 in order of first appearance.
 
-    Raises CsvParseError with the 1-based offending line number on ragged
-    rows, unparseable numerics, or labels missing from an explicit map.
+    Labels are coded 0..k-1 in order of first appearance. Raises
+    CsvParseError with the 1-based offending line number on ragged rows or
+    unparseable numerics.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -288,31 +267,16 @@ def load_csv(path, label_column=-1, header: bool = True,
         feats.append(vals)
         raw_labels.append(row[label_idx].strip())
 
-    if class_label_map is not None:
-        mapping = dict(class_label_map)
-        if sorted(mapping.values()) != list(range(len(mapping))):
-            raise InvalidInputError(
-                "class_label_map values must be exactly 0..k-1"
-            )
-        labels = []
-        for (line_num, _), lab in zip(rows, raw_labels):
-            if lab not in mapping:
-                raise CsvParseError(f"unknown label {lab!r}", line=line_num)
-            labels.append(mapping[lab])
-        inv = {v: k for k, v in mapping.items()}
-        label_names = tuple(inv[i] for i in range(len(inv)))
-    else:
-        mapping = {}
-        labels = []
-        for lab in raw_labels:
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            labels.append(mapping[lab])
-        label_names = tuple(mapping.keys())
+    mapping = {}
+    labels = []
+    for lab in raw_labels:
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        labels.append(mapping[lab])
 
     return LabeledDataset(np.asarray(feats, dtype=float),
                           np.asarray(labels, dtype=np.int64),
-                          label_names)
+                          tuple(mapping))
 
 
 def write_csv(ds: LabeledDataset, path, label_column_name: str = "label",

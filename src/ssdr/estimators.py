@@ -63,11 +63,8 @@ class PrecisionEstimatorSpec:
     mry_gamma: float = 1.0
     mry_standardize_mean: bool = False
     bodnar_target: object = "identity"
-    wang_grid_size: int = 1000
-    spd_repair_eps: float = 1e-8
     admm_max_iters: int = 10_000
     admm_tol: float = 1e-6
-    admm_rho: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -90,10 +87,6 @@ class PrecisionEstimatorSpec:
                 raise InvalidInputError(
                     f"unknown bodnar target {self.bodnar_target!r}"
                 )
-        if self.wang_grid_size < 2:
-            raise InvalidInputError("wang_grid_size must be >= 2")
-        if not self.spd_repair_eps > 0:
-            raise InvalidInputError("spd_repair_eps must be > 0")
 
     def with_lambda(self, lam: float) -> "PrecisionEstimatorSpec":
         return replace(self, mry_lambda=float(lam))
@@ -345,7 +338,7 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
         l_fac = spd_cholesky(b @ b.T)
         l_inv = solve_triangular(l_fac, np.eye(p), lower=True)
 
-    rho = float(spec.admm_rho)
+    rho = 1.0  # initial ADMM penalty; residual balancing adapts it
     tol = float(spec.admm_tol)
     max_iters = int(spec.admm_max_iters)
 
@@ -439,10 +432,9 @@ def estimate(cs: ClassSummary, spec: PrecisionEstimatorSpec) -> PrecisionEstimat
         if spec.kind == "haff":
             return haff(cs)
         if spec.kind == "wang":
-            return wang(cs, grid_size=spec.wang_grid_size)
+            return wang(cs)
         if spec.kind == "bodnar":
-            return bodnar(cs, target=spec.bodnar_target,
-                          repair_eps=spec.spd_repair_eps)
+            return bodnar(cs, target=spec.bodnar_target)
         if spec.kind == "mry":
             return mry(cs, spec)
         raise InvalidInputError(f"unknown estimator kind {spec.kind!r}")

@@ -50,6 +50,15 @@ N_POLICIES = ("p+1", "2p", "6p")
 # (r, rows) score arrays stay small however large the test set is.
 _SWEEP_BLOCK_ROWS = 2048
 
+# Share of each class held out to score penalty candidates when tuning
+# without inner folds.
+_VALIDATION_FRACTION = 0.25
+# Tuning fits only need validation-grade accuracy; candidates that cannot
+# converge within this budget are dropped from the grid. The final fit
+# always runs at the estimator's own tolerance and budget.
+_TUNING_ADMM_TOL = 1e-4
+_TUNING_ADMM_MAX_ITERS = 1000
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -171,18 +180,10 @@ class PipelineSpec:
     estimator: PrecisionEstimatorSpec
     dims: tuple | None = None
     standardize: bool = False
-    jitter_sigma: float | None = None
     tune_mry_lambda: bool = True
     lambda_grid_size: int = 10
     lambda_c_lo: float = 1e-3
     lambda_c_hi: float = 1.0
-    validation_fraction: float = 0.25
-    inner_folds: int = 5
-    # Tuning fits only need validation-grade accuracy; candidates that
-    # cannot converge within this budget are dropped from the grid. The
-    # final fit always runs at the estimator's own tolerance and budget.
-    tuning_admm_tol: float = 1e-4
-    tuning_admm_max_iters: int = 1000
 
     def resolved_dims(self, p: int) -> tuple:
         dims = tuple(range(1, p + 1)) if self.dims is None else tuple(self.dims)
@@ -190,6 +191,8 @@ class PipelineSpec:
             raise InvalidInputError("dimension sweep is empty")
         if any(not 1 <= r <= p for r in dims):
             raise InvalidInputError(f"dims {dims} outside 1..{p}")
+        if len(set(dims)) != len(dims):
+            raise InvalidInputError(f"dims {dims} repeat a dimension")
         return dims
 
 
@@ -266,13 +269,14 @@ def _sweep_cers(train: LabeledDataset, test: LabeledDataset,
 
 
 def _pipeline_cers(train: LabeledDataset, test: LabeledDataset,
-                   pipeline: PipelineSpec, dims, mode: str, rng) -> dict:
+                   pipeline: PipelineSpec, dims, rng,
+                   inner_folds: int | None = None) -> dict:
     """One pipeline's error per r in dims on one training/test split.
 
     Studentizes the split when the pipeline asks for it, tunes the MRY
-    penalty on the training part (``mode`` and ``rng`` as in tune_lambda),
-    builds the discriminant matrix, and sweeps its basis. Any failure leaves
-    every r of the split missing.
+    penalty on the training part (``rng`` and ``inner_folds`` as in
+    tune_lambda), builds the discriminant matrix, and sweeps its basis. Any
+    failure leaves every r of the split missing.
     """
     try:
         if pipeline.standardize:
@@ -280,7 +284,7 @@ def _pipeline_cers(train: LabeledDataset, test: LabeledDataset,
         spec = pipeline.estimator
         if spec.kind == "mry" and pipeline.tune_mry_lambda:
             spec = spec.with_lambda(
-                tune_lambda(train, pipeline, mode=mode, rng=rng))
+                tune_lambda(train, pipeline, rng, inner_folds))
         u_full, _, _ = svd_full(build_discriminant_matrix(summarize(train), spec))
         return _sweep_cers(train, test, u_full, dims)
     except SsdrError:
@@ -306,14 +310,13 @@ def lambda_grid(summaries, grid_size: int = 10, c_lo: float = 1e-3,
     return np.geomspace(lo, hi, grid_size)
 
 
-def _holdout_split(ds: LabeledDataset, fraction: float,
-                   rng: np.random.Generator):
-    """Per-class holdout: ~fraction of each class to validation, rest kept."""
+def _holdout_split(ds: LabeledDataset, rng: np.random.Generator):
+    """Per-class split: ~_VALIDATION_FRACTION of each class to validation."""
     val_mask = np.zeros(ds.n, dtype=bool)
     for c in range(ds.k):
         idx = np.nonzero(ds.labels == c)[0]
         idx = idx[rng.permutation(idx.size)]
-        n_val = max(1, int(round(fraction * idx.size)))
+        n_val = max(1, int(round(_VALIDATION_FRACTION * idx.size)))
         n_val = min(n_val, idx.size - 2)  # keep >= 2 rows for summaries
         if n_val < 1:
             raise StratificationError(
@@ -358,9 +361,9 @@ def _grid_scores_one_split(sub: LabeledDataset, val: LabeledDataset,
     warm = {cs.class_id: None for cs in summaries}
     base = replace(
         pipeline.estimator,
-        admm_tol=max(pipeline.estimator.admm_tol, pipeline.tuning_admm_tol),
+        admm_tol=max(pipeline.estimator.admm_tol, _TUNING_ADMM_TOL),
         admm_max_iters=min(pipeline.estimator.admm_max_iters,
-                           pipeline.tuning_admm_max_iters),
+                           _TUNING_ADMM_MAX_ITERS),
     )
     scores = {}
     for lam in sorted(grid, reverse=True):
@@ -383,37 +386,31 @@ def _grid_scores_one_split(sub: LabeledDataset, val: LabeledDataset,
 
 
 def tune_lambda(train: LabeledDataset, pipeline: PipelineSpec,
-                mode: str = "holdout", rng=None, seed=None,
-                dims=None) -> float:
+                rng: np.random.Generator,
+                inner_folds: int | None = None) -> float:
     """Select the MRY penalty by validation error over the eigenvalue grid.
 
-    mode "holdout" fits each candidate on a per-class training split and
-    scores it by the best-over-r validation error; mode "cv" averages that
-    error over ``pipeline.inner_folds`` stratified folds. Ties (and flat
-    profiles) resolve toward the largest penalty, i.e. the sparsest
-    estimate. Raises TuningError when every candidate fails.
+    With ``inner_folds`` None, each candidate is fitted on a per-class
+    training split and scored by its best-over-r error on the held-out
+    rest; otherwise that error is averaged over ``inner_folds`` stratified
+    folds. ``rng`` draws the split. Ties (and flat profiles) resolve toward
+    the largest penalty, i.e. the sparsest estimate. Raises TuningError when
+    every candidate fails.
     """
     if pipeline.estimator.kind != "mry":
         raise InvalidInputError("lambda tuning applies to MRY pipelines only")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    dims = pipeline.resolved_dims(train.p) if dims is None else tuple(dims)
+    dims = pipeline.resolved_dims(train.p)
     grid = lambda_grid(summarize(train), pipeline.lambda_grid_size,
                        pipeline.lambda_c_lo, pipeline.lambda_c_hi)
 
-    if mode == "holdout":
-        sub_train, val = _holdout_split(ds=train,
-                                        fraction=pipeline.validation_fraction,
-                                        rng=rng)
-        splits = [(sub_train, val)]
-    elif mode == "cv":
-        fold_ids = _stratified_fold_ids(train.labels, pipeline.inner_folds, rng)
+    if inner_folds is None:
+        splits = [_holdout_split(train, rng)]
+    else:
+        fold_ids = _stratified_fold_ids(train.labels, inner_folds, rng)
         splits = [
             (train.subset(fold_ids != f), train.subset(fold_ids == f))
-            for f in range(pipeline.inner_folds)
+            for f in range(inner_folds)
         ]
-    else:
-        raise InvalidInputError(f"unknown tuning mode {mode!r}")
 
     per_split = [
         _grid_scores_one_split(sub, val, pipeline, grid, dims)
@@ -459,7 +456,7 @@ def _mc_replicate_worker(args) -> dict:
             np.random.SeedSequence(cfg.master_seed,
                                    spawn_key=(_NS_REPLICATE, j, idx))
         )
-        cers = _pipeline_cers(train, test, pl, dims, "holdout", pl_rng)
+        cers = _pipeline_cers(train, test, pl, dims, pl_rng)
         out.update(((pl.name, r), cers[r]) for r in dims)
     return out
 
@@ -505,6 +502,8 @@ def run_mc_study(cfg: SimulationConfig, pipelines,
     names = [pl.name for pl in pipelines]
     if len(set(names)) != len(names) or "qda_full" in names:
         raise InvalidInputError("pipeline names must be unique and not 'qda_full'")
+    for pl in pipelines:
+        pl.resolved_dims(cfg.p)
     args = [(cfg, pipelines, j) for j in range(cfg.replicates)]
     results = _parallel_map(_mc_replicate_worker, args, threads)
 
@@ -524,7 +523,7 @@ def run_mc_study(cfg: SimulationConfig, pipelines,
 
 
 def _cv_repeat_worker(args) -> dict:
-    ds, pipeline, folds, seed, t, dims = args
+    ds, pipeline, folds, seed, t, dims, inner_folds = args
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(_NS_CV_REPEAT, t))
     )
@@ -538,7 +537,8 @@ def _cv_repeat_worker(args) -> dict:
             np.random.SeedSequence(seed, spawn_key=(_NS_CV_REPEAT, t, f))
         )
         # the pipeline studentizes the raw fold itself
-        cers = _pipeline_cers(train, test, pipeline, dims, "cv", fold_rng)
+        cers = _pipeline_cers(train, test, pipeline, dims, fold_rng,
+                              inner_folds)
         for r in dims:
             fold_cers[(pipeline.name, r)].append(cers[r])
         # unlike the Monte Carlo baseline, qda_full sees the studentized fold
@@ -557,32 +557,42 @@ def _cv_repeat_worker(args) -> dict:
 
 def repeated_kfold_cv(ds: LabeledDataset, pipeline: PipelineSpec,
                       folds: int = 10, repeats: int = 50, seed: int = 0,
-                      threads: int = 1) -> CerReport:
+                      threads: int = 1, inner_folds: int = 5,
+                      jitter_sigma: float | None = None) -> CerReport:
     """Repeated stratified k-fold cross-validation.
 
     Per repeat: one stratified fold assignment; the recorded rate for a cell
     is the mean of its fold error rates. The report aggregates those means
-    across repeats. Jitter (when configured) is applied once to the full
-    dataset up front with a seed derived from the master seed;
-    studentization is fitted per training fold.
+    across repeats. An MRY pipeline tunes its penalty on each training fold
+    over ``inner_folds`` stratified inner folds. Jitter (when
+    ``jitter_sigma`` is given) is applied once to the full dataset up front
+    with a seed derived from the master seed; studentization is fitted per
+    training fold.
     """
-    if pipeline.jitter_sigma is not None:
+    for name, value, least in (("folds", folds, 2),
+                               ("inner_folds", inner_folds, 2),
+                               ("repeats", repeats, 1)):
+        if value < least:
+            raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    if jitter_sigma is not None:
         jitter_seed = int(np.random.SeedSequence(
             seed, spawn_key=(_NS_JITTER,)).generate_state(1)[0])
-        ds = jitter(ds, pipeline.jitter_sigma, jitter_seed)
+        ds = jitter(ds, jitter_sigma, jitter_seed)
     else:
         jitter_seed = None
     dims = pipeline.resolved_dims(ds.p)
     _stratified_fold_ids(ds.labels, folds, np.random.default_rng(0))  # validate sizes
-    args = [(ds, pipeline, folds, seed, t, dims) for t in range(repeats)]
+    args = [(ds, pipeline, folds, seed, t, dims, inner_folds)
+            for t in range(repeats)]
     results = _parallel_map(_cv_repeat_worker, args, threads)
 
     return _study_report({
         "kind": "cv",
         "n": ds.n, "p": ds.p, "k": ds.k,
         "folds": folds, "repeats": repeats, "master_seed": seed,
+        "inner_folds": inner_folds,
         "standardize": pipeline.standardize,
-        "jitter_sigma": pipeline.jitter_sigma,
+        "jitter_sigma": jitter_sigma,
         "jitter_seed": jitter_seed,
         "pipelines": [pipeline.name],
     }, [pipeline], ds.p, results)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from ssdr import cli
 from ssdr.cli import main, resolve_threads
 from ssdr.datamodel import LabeledDataset, write_csv
-from ssdr.experiments import repeated_kfold_cv
+from ssdr.estimators import PrecisionEstimatorSpec
+from ssdr.experiments import PipelineSpec, repeated_kfold_cv, run_mc_study
 
 
 def run_cli(*argv):
@@ -197,7 +199,7 @@ class TestCv:
         ran = []
 
         def spy(data_set, pipeline, **kwargs):
-            ran.append(pipeline)
+            ran.append((pipeline, kwargs))
             return repeated_kfold_cv(data_set, pipeline, **kwargs)
 
         monkeypatch.setattr(cli, "repeated_kfold_cv", spy)
@@ -205,16 +207,19 @@ class TestCv:
                        "--mry-lambda", 0.3, "--mry-penalty", "qda",
                        "--mry-gamma", 2.0, "--mry-standardize-mean",
                        "--no-tune", "--inner-folds", 3, "--r", "1,2",
-                       "--standardize", "--folds", 5, "--repeats", 1,
-                       "--seed", 8, "--out-dir", tmp_path, "--threads", 1)
+                       "--standardize", "--jitter", 1e-6, "--folds", 5,
+                       "--repeats", 1, "--seed", 8, "--out-dir", tmp_path,
+                       "--threads", 1)
         assert code in (0, 2)
         resolved = load_json(tmp_path / "blobs_report.json")["resolved_config"]
         assert resolved["header"] is True
         pipeline = resolved["pipeline"]
         assert pipeline["lambda"] == 0.3 and pipeline["penalty"] == "qda"
-        assert pipeline["tune"] is False and pipeline["inner_folds"] == 3
-        assert pipeline["dims"] == [1, 2]
-        assert cli._pipeline_from_dict(pipeline, 0, ds.p) == ran[0]
+        assert pipeline["tune"] is False and pipeline["dims"] == [1, 2]
+        ran_pipeline, ran_kwargs = ran[0]
+        assert cli._pipeline_from_dict(pipeline, "cv", ds.p) == ran_pipeline
+        assert resolved["inner_folds"] == ran_kwargs["inner_folds"] == 3
+        assert resolved["jitter"] == ran_kwargs["jitter_sigma"] == 1e-6
 
     def test_bad_dimension_list_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
@@ -223,7 +228,125 @@ class TestCv:
         code = run_cli("cv", "--data", data, "--r", "1,x", "--seed", 1,
                        "--out-dir", tmp_path)
         assert code == 1
-        assert "dims" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dims" in err
+        assert "pipelines[" not in err  # cv has no config file
+
+    def test_repeated_dimension_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        data = tmp_path / "blobs.csv"
+        write_blob_csv(data, rng)
+        code = run_cli("cv", "--data", data, "--r", "1,1", "--seed", 1,
+                       "--out-dir", tmp_path)
+        assert code == 1
+        assert "repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--folds", 0), ("--folds", 1), ("--inner-folds", 1),
+        ("--repeats", 0)])
+    def test_bad_counts_are_usage_errors(self, tmp_path, capsys, flag, value):
+        rng = np.random.default_rng(7)
+        data = tmp_path / "blobs.csv"
+        write_blob_csv(data, rng)
+        code = run_cli("cv", "--data", data, "--estimator", "mry",
+                       "--folds", 5, "--repeats", 1, flag, value,
+                       "--seed", 1, "--out-dir", tmp_path, "--threads", 1)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be >=" in err
+        assert not (tmp_path / "blobs_report.json").exists()
+
+
+class TestConfigSchema:
+    """Each config key sets one spec field, and a run ignores no key."""
+
+    def test_key_tables_name_real_fields(self):
+        estimator_fields = {f.name for f in
+                            dataclasses.fields(PrecisionEstimatorSpec)}
+        pipeline_fields = {f.name for f in dataclasses.fields(PipelineSpec)}
+        assert set(cli.ESTIMATOR_KEYS.values()) == estimator_fields
+        # the estimator keys together build PipelineSpec.estimator
+        assert set(cli.PIPELINE_KEYS.values()) | {"estimator"} \
+            == pipeline_fields
+        assert cli.ESTIMATOR_KEYS["estimator"] == "kind"
+        assert not set(cli.ESTIMATOR_KEYS) & set(cli.PIPELINE_KEYS)
+
+    def test_resolved_pipelines_rebuild_the_run(self, tmp_path, monkeypatch):
+        ran = []
+
+        def spy(cfg, pipelines, **kwargs):
+            ran.append(pipelines)
+            return run_mc_study(cfg, pipelines, **kwargs)
+
+        monkeypatch.setattr(cli, "run_mc_study", spy)
+        cfg = {
+            "config_id": 1, "n_policy": "2p", "seed": 2, "replicates": 1,
+            "pipelines": [
+                {"estimator": "bodnar", "bodnar_target": "diagonal_of_s",
+                 "standardize": True, "dims": [1, 3]},
+                {"name": "m", "estimator": "mry", "lambda": 0.2,
+                 "penalty": "qda", "gamma": 2.0, "standardize_mean": True,
+                 "admm_tol": 1e-5, "admm_max_iters": 500, "tune": True,
+                 "lambda_grid_size": 3, "lambda_c_lo": 0.01,
+                 "lambda_c_hi": 0.5, "dims": "all"},
+            ],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run_cli("simulate", "--config", cfg_path,
+                       "--out-dir", tmp_path, "--threads", 1)
+        assert code == 0
+        resolved = load_json(tmp_path / "cfg1_report.json")["resolved_config"]
+        rebuilt = [cli._pipeline_from_dict(d, f"pipelines[{i}]", 10)
+                   for i, d in enumerate(resolved["pipelines"])]
+        assert rebuilt == ran[0]
+        assert ran[0][1].estimator.mry_gamma == 2.0
+        assert ran[0][1].lambda_c_hi == 0.5
+
+    def test_resolved_config_re_runs_identically(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "config_id": 2, "n_policy": 12, "seed": 4, "replicates": 2,
+            "pool_size": 500, "name": "first",
+            "pipelines": [{"estimator": "wang", "dims": [1, 2]}]}))
+        assert run_cli("simulate", "--config", cfg_path, "--out-dir",
+                       tmp_path, "--threads", 1) in (0, 2)
+        first = load_json(tmp_path / "first_report.json")
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(first["resolved_config"]))
+        (tmp_path / "re").mkdir()
+        assert run_cli("simulate", "--config", again, "--out-dir",
+                       tmp_path / "re", "--threads", 1) in (0, 2)
+        second = load_json(tmp_path / "re" / "first_report.json")
+        for payload in (first, second):
+            payload.pop("created_at")
+        assert second == first
+        # a recorded n_i that this run would not use is an error
+        again.write_text(json.dumps({**first["resolved_config"], "n_i": 20}))
+        assert run_cli("simulate", "--config", again, "--out-dir",
+                       tmp_path / "re", "--threads", 1) == 1
+
+    @pytest.mark.parametrize("where, key, config", [
+        ("pipelines[0]", "lamda",
+         {"pipelines": [{"estimator": "mry", "lamda": 5}]}),
+        ("pipelines[0]", "jitter_sigma",
+         {"pipelines": [{"jitter_sigma": 0.5}]}),
+        ("pipelines[1]", "tune_mry_lambda",
+         {"pipelines": [{}, {"tune_mry_lambda": False}]}),
+        ("cfg.json", "replicate", {"replicate": 3}),
+    ])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, where, key,
+                                        config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"config_id": 1, "n_policy": "2p", "seed": 1, "replicates": 1,
+             **config}))
+        code = run_cli("simulate", "--config", cfg_path,
+                       "--out-dir", tmp_path, "--threads", 1)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert where in err and repr(key) in err
+        assert not (tmp_path / "cfg1_report.json").exists()
 
 
 class TestSelectDimAndReport:

@@ -68,31 +68,10 @@ class TestSummarize:
         with pytest.raises(SampleSizeError):
             summarize(ds)
 
-    def test_equal_priors(self):
-        rng = np.random.default_rng(0)
-        ds = blob_dataset(rng, n_per=5, k=4)
-        out = summarize(ds, prior_policy="equal")
-        assert [cs.prior for cs in out] == [0.25] * 4
-
-    def test_explicit_priors(self):
-        rng = np.random.default_rng(0)
-        ds = blob_dataset(rng, n_per=5, k=2)
-        out = summarize(ds, prior_policy="explicit", explicit_priors=[0.9, 0.1])
-        assert [cs.prior for cs in out] == [0.9, 0.1]
-        with pytest.raises(InvalidInputError):
-            summarize(ds, prior_policy="explicit", explicit_priors=[0.9, 0.2])
-
-    def test_unbiased_divisor_flag(self):
-        rng = np.random.default_rng(1)
-        ds = blob_dataset(rng, n_per=10, k=2)
-        mle = summarize(ds)[0].cov
-        unb = summarize(ds, unbiased=True)[0].cov
-        np.testing.assert_allclose(unb * (9 / 10), mle, rtol=1e-12)
-
     def test_pooled_mean_reconstruction(self):
         rng = np.random.default_rng(2)
         ds = blob_dataset(rng, n_per=17, p=4, k=3)
-        out = summarize(ds, prior_policy="proportional")
+        out = summarize(ds)
         pooled = sum(cs.prior * cs.mean for cs in out)
         np.testing.assert_allclose(pooled, ds.features.mean(axis=0),
                                    atol=1e-10)
@@ -179,25 +158,6 @@ class TestCsv:
         ds = load_csv(path, label_column="y")
         assert ds.labels.tolist() == [0, 1, 0]
         assert ds.label_names == ("b", "m")
-
-    def test_explicit_label_map(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("x,y\n1,b\n2,m\n")
-        ds = load_csv(path, label_column="y", class_label_map={"m": 0, "b": 1})
-        assert ds.labels.tolist() == [1, 0]
-
-    def test_gappy_label_map_rejected(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("x,y\n1,b\n2,m\n")
-        with pytest.raises(InvalidInputError):
-            load_csv(path, label_column="y", class_label_map={"b": 0, "m": 2})
-
-    def test_unknown_label_names_line(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("x,y\n1,b\n2,zzz\n")
-        with pytest.raises(CsvParseError) as ei:
-            load_csv(path, label_column="y", class_label_map={"b": 0})
-        assert ei.value.line == 3
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -128,6 +128,15 @@ class TestRunMcStudy:
         with pytest.raises(InvalidInputError):
             run_mc_study(cfg, [pl, pl], threads=1)
 
+    def test_repeated_dimension_rejected(self):
+        # a repeat would put two rates per replicate into one cell
+        cfg = simulation_config(1, "2p", replicates=3)
+        pl = PipelineSpec(name="x", estimator=SAMPLE, dims=(1, 1, 2))
+        with pytest.raises(InvalidInputError, match="repeat"):
+            pl.resolved_dims(cfg.p)
+        with pytest.raises(InvalidInputError, match="repeat"):
+            run_mc_study(cfg, [pl], threads=1)
+
     def test_metadata_freezes_protocol(self):
         cfg = simulation_config(4, "p+1", replicates=1, master_seed=13)
         rep = run_mc_study(cfg, [], threads=1)
@@ -183,9 +192,9 @@ class TestRepeatedKfoldCv:
     def test_jitter_seed_recorded(self):
         rng = np.random.default_rng(12)
         ds = blobs(rng, n_per=30)
-        pl = PipelineSpec(name="ssdr_sample", estimator=SAMPLE, dims=(1,),
-                          jitter_sigma=1e-5)
-        rep = repeated_kfold_cv(ds, pl, folds=5, repeats=1, seed=4, threads=1)
+        pl = PipelineSpec(name="ssdr_sample", estimator=SAMPLE, dims=(1,))
+        rep = repeated_kfold_cv(ds, pl, folds=5, repeats=1, seed=4, threads=1,
+                                jitter_sigma=1e-5)
         assert rep.metadata["jitter_sigma"] == 1e-5
         assert isinstance(rep.metadata["jitter_seed"], int)
 
@@ -337,7 +346,7 @@ class TestTuneLambda:
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
             dims=(1,), lambda_grid_size=2, lambda_c_lo=1.0, lambda_c_hi=1e-6)
         # inverted bounds collapse the grid to one candidate
-        lam = tune_lambda(ds, pl, mode="holdout", seed=0)
+        lam = tune_lambda(ds, pl, np.random.default_rng(0))
         grid = lambda_grid(summarize(ds), 2, 1.0, 1e-6)
         assert grid.size == 1
         assert lam == pytest.approx(float(grid[0]))
@@ -350,7 +359,7 @@ class TestTuneLambda:
             name="m",
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
             dims=(1, 2), lambda_grid_size=5)
-        lam = tune_lambda(ds, pl, mode="holdout", seed=1)
+        lam = tune_lambda(ds, pl, np.random.default_rng(1))
         grid = lambda_grid(summarize(ds), 5)
         assert lam == pytest.approx(float(grid[-1]))
 
@@ -359,17 +368,19 @@ class TestTuneLambda:
         ds = blobs(rng, n_per=20, p=3)
         pl = PipelineSpec(
             name="m",
-            estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
-            dims=(1,), tuning_admm_max_iters=1)  # nothing can converge
+            # tuning caps ADMM at the smaller of its own budget and this one
+            estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0,
+                                             admm_max_iters=1),
+            dims=(1,))  # nothing can converge
         with pytest.raises(TuningError):
-            tune_lambda(ds, pl, mode="holdout", seed=2)
+            tune_lambda(ds, pl, np.random.default_rng(2))
 
     def test_non_mry_pipeline_rejected(self):
         rng = np.random.default_rng(18)
         ds = blobs(rng)
         pl = PipelineSpec(name="m", estimator=SAMPLE, dims=(1,))
         with pytest.raises(InvalidInputError):
-            tune_lambda(ds, pl)
+            tune_lambda(ds, pl, np.random.default_rng(0))
 
     def test_cv_mode_runs(self):
         rng = np.random.default_rng(19)
@@ -377,6 +388,6 @@ class TestTuneLambda:
         pl = PipelineSpec(
             name="m",
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
-            dims=(1, 2, 3), lambda_grid_size=4, inner_folds=3)
-        lam = tune_lambda(ds, pl, mode="cv", seed=3)
+            dims=(1, 2, 3), lambda_grid_size=4)
+        lam = tune_lambda(ds, pl, np.random.default_rng(3), inner_folds=3)
         assert lam > 0
