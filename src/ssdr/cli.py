@@ -63,6 +63,9 @@ PIPELINE_KEYS = {
     "lambda_c_lo": "lambda_c_lo",
     "lambda_c_hi": "lambda_c_hi",
 }
+# The config key that sets each spec field, to name it in errors.
+KEY_OF_FIELD = {field: key
+                for key, field in {**ESTIMATOR_KEYS, **PIPELINE_KEYS}.items()}
 # Top-level keys of a simulate config file. "command" and "n_i" are
 # recorded in every simulate report's resolved config; a file may carry
 # them so that config re-runs, but they must agree with the run.
@@ -125,7 +128,8 @@ def _pipeline_from_dict(d: dict, where: str, p: int) -> PipelineSpec:
         pl = PipelineSpec(estimator=spec, **fields)
         pl.resolved_dims(p)  # validate against this run's dimension
     except SsdrError as exc:
-        raise UsageError(f"{where}: {exc}") from exc
+        key = KEY_OF_FIELD.get(getattr(exc, "field", None))
+        raise UsageError(f"{where}{'.' + key if key else ''}: {exc}") from exc
     return pl
 
 

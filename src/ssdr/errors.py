@@ -33,7 +33,15 @@ class SsdrError(Exception):
 
 
 class InvalidInputError(SsdrError, ValueError):
-    """Malformed input: wrong shape, empty matrix, NaN/Inf, bad parameter."""
+    """Malformed input: wrong shape, empty matrix, NaN/Inf, bad parameter.
+
+    ``field`` names the settings field holding a bad parameter, when known.
+    """
+
+    def __init__(self, message: str, *, field: str | None = None,
+                 class_id: int | None = None):
+        super().__init__(message, class_id=class_id)
+        self.field = field
 
 
 class NotSpdError(SsdrError):

@@ -23,6 +23,7 @@ typed error is raised.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,24 @@ KINDS = ("sample_inverse", "haff", "wang", "bodnar", "mry")
 MRY_PENALTIES = ("simple", "qda")
 BODNAR_TARGETS = ("identity", "diagonal_of_s")
 
+# (test, requirement) rules for check_fields
+IS_BOOL = (lambda v: isinstance(v, bool), "true or false")
+IS_COUNT = (lambda v: isinstance(v, numbers.Integral)
+            and not isinstance(v, bool) and v >= 1, "an integer >= 1")
+IS_POSITIVE = (lambda v: isinstance(v, numbers.Real)
+               and not isinstance(v, bool) and 0 < v < np.inf,
+               "a finite number > 0")
+
+
+def check_fields(spec, rules: dict) -> None:
+    """Raise InvalidInputError, naming the field, for the first value of
+    ``spec`` that breaks its rule in ``rules`` (field name -> rule)."""
+    for name, (ok, requirement) in rules.items():
+        value = getattr(spec, name)
+        if not ok(value):
+            raise InvalidInputError(
+                f"{name} must be {requirement}, got {value!r}", field=name)
+
 
 @dataclass(frozen=True)
 class PrecisionEstimatorSpec:
@@ -55,6 +74,12 @@ class PrecisionEstimatorSpec:
     C = 0) or the QDA-oriented structured penalty with A^T = B =
     (mean, gamma * I) and C = 0; ``mry_standardize_mean`` z-scores the mean
     vector's entries before building those matrices.
+
+    MRY is scale equivariant, Omega(c S; c lambda) = Omega(S; lambda) / c,
+    with the simple penalty, but with the QDA penalty only when
+    ``mry_standardize_mean`` is set: the raw mean column of B scales with
+    the data while gamma * I does not. It defaults to False; turning it on
+    changes every QDA-penalty result.
     """
 
     kind: str = "sample_inverse"
@@ -68,25 +93,24 @@ class PrecisionEstimatorSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown estimator kind {self.kind!r}")
+            raise InvalidInputError(f"unknown estimator kind {self.kind!r}",
+                                    field="kind")
+        check_fields(self, {"mry_standardize_mean": IS_BOOL,
+                            "admm_max_iters": IS_COUNT,
+                            "admm_tol": IS_POSITIVE})
         if self.kind == "mry":
-            if not self.mry_lambda > 0:
-                raise InvalidInputError(
-                    f"mry lambda must be > 0, got {self.mry_lambda}"
-                )
+            check_fields(self, {"mry_lambda": IS_POSITIVE})
             if self.mry_penalty not in MRY_PENALTIES:
                 raise InvalidInputError(
-                    f"unknown mry penalty {self.mry_penalty!r}"
-                )
-            if self.mry_penalty == "qda" and not self.mry_gamma > 0:
-                raise InvalidInputError(
-                    f"mry gamma must be > 0, got {self.mry_gamma}"
-                )
+                    f"unknown mry penalty {self.mry_penalty!r}",
+                    field="mry_penalty")
+            if self.mry_penalty == "qda":
+                check_fields(self, {"mry_gamma": IS_POSITIVE})
         if isinstance(self.bodnar_target, str):
             if self.bodnar_target not in BODNAR_TARGETS:
                 raise InvalidInputError(
-                    f"unknown bodnar target {self.bodnar_target!r}"
-                )
+                    f"unknown bodnar target {self.bodnar_target!r}",
+                    field="bodnar_target")
 
     def with_lambda(self, lam: float) -> "PrecisionEstimatorSpec":
         return replace(self, mry_lambda=float(lam))
@@ -285,16 +309,22 @@ def _soft_threshold_offdiag(m: np.ndarray, thr: float) -> np.ndarray:
     return out
 
 
-def _logdet_prox(e: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 without ``symmetrize``'s copy and finiteness scan; the
+    ADMM loop validates its inputs at entry and guards its residuals."""
+    return (a + a.T) / 2.0
+
+
+def _logdet_prox(e: np.ndarray, t: float):
     """Solve t * Omega - Omega^-1 = E for SPD Omega.
 
-    Returns (Omega, Omega^-1), both from one symmetric eigendecomposition.
+    Returns (Omega, Q, d) with Omega = Q diag(d) Q' from one symmetric
+    eigendecomposition; ``mry`` forms Omega^-1 = Q diag(1/d) Q' only for
+    its final iterate.
     """
-    w, q = np.linalg.eigh(symmetrize(e))
+    w, q = np.linalg.eigh(_symmetric_part(e))
     om_w = (w + np.sqrt(w * w + 4.0 * t)) / (2.0 * t)
-    omega = (q * om_w) @ q.T
-    omega_inv = (q / om_w) @ q.T
-    return symmetrize(omega), symmetrize(omega_inv)
+    return _symmetric_part((q * om_w) @ q.T), q, om_w
 
 
 def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
@@ -315,13 +345,13 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     estimator usable when n_i <= p.
 
     Returns the sparse splitting iterate when it is SPD; otherwise returns
-    the SPD proximal iterate and sets diagnostics.repaired.
+    the SPD proximal iterate and sets diagnostics.repaired. The inputs are
+    validated once at entry; an iterate that stops being finite raises
+    NumericalDomainError, and running out of iterations ConvergenceError.
     """
     if spec.kind != "mry":
         raise InvalidInputError(f"spec.kind must be 'mry', got {spec.kind!r}")
-    lam = float(spec.mry_lambda)
-    if not lam > 0:
-        raise InvalidInputError(f"lambda must be > 0, got {lam}")
+    lam = float(spec.mry_lambda)  # > 0, checked by the spec
     s = symmetrize(cs.cov)
     p = s.shape[0]
     simple = spec.mry_penalty == "simple"
@@ -349,22 +379,20 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     z = omega.copy() if simple else symmetrize(b.T @ omega @ b)
     u = np.zeros_like(z)
 
-    omega_inv = None
     primal = dual = np.inf
     it = 0
     for it in range(1, max_iters + 1):
         if simple:
             e = rho * (z - u) - s
-            omega, omega_inv = _logdet_prox(e, rho)
+            omega, q, d = _logdet_prox(e, rho)
             azb = omega
         else:
             # exact update: rho*Theta - Theta^-1 = L^-1 (rho*B(Z-U)B' - S) L^-T
             g = b @ (z - u) @ b.T
             e = l_inv @ (rho * g - s) @ l_inv.T
-            theta, theta_inv = _logdet_prox(e, rho)
-            omega = symmetrize(l_inv.T @ theta @ l_inv)
-            omega_inv = symmetrize(l_fac @ theta_inv @ l_fac.T)
-            azb = symmetrize(b.T @ omega @ b)
+            theta, q, d = _logdet_prox(e, rho)
+            omega = _symmetric_part(l_inv.T @ theta @ l_inv)
+            azb = _symmetric_part(b.T @ omega @ b)
 
         z_prev = z
         z = _soft_threshold_offdiag(azb + u, lam / rho)
@@ -376,6 +404,10 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
             dual = rho * float(np.linalg.norm(dz))
         else:
             dual = rho * float(np.linalg.norm(b @ dz @ b.T))
+        # finite residuals keep the next iteration's z, u and azb finite
+        if not np.isfinite(primal + dual):
+            raise NumericalDomainError(
+                f"ADMM iterate is not finite at iteration {it}")
         if max(primal, dual) < tol:
             break
         if primal > 10.0 * dual and dual > 0:
@@ -391,6 +423,10 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
             primal=primal, dual=dual, iterations=max_iters,
         )
 
+    # Omega^-1 (Theta^-1 in qda mode) from the last proximal step
+    omega_inv = symmetrize((q / d) @ q.T)
+    if not simple:
+        omega_inv = symmetrize(l_fac @ omega_inv @ l_fac.T)
     # KKT stationarity with the converged (unscaled) dual rho * U; the
     # Z-step makes rho * U an exact subgradient of lambda * |Z|_1.
     y = rho * u

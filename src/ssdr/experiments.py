@@ -31,7 +31,14 @@ from scipy.linalg import solve_triangular
 from . import qda
 from .datamodel import LabeledDataset, jitter, standardize, summarize
 from .errors import InvalidInputError, SsdrError, StratificationError, TuningError
-from .estimators import PrecisionEstimatorSpec, mry
+from .estimators import (
+    IS_BOOL,
+    IS_COUNT,
+    IS_POSITIVE,
+    PrecisionEstimatorSpec,
+    check_fields,
+    mry,
+)
 from .numerics import cholesky_prefix, spd_cholesky, svd_full, symmetrize
 from .qda import CerReport
 from .reduction import build_discriminant_matrix, discriminant_matrix_from
@@ -170,10 +177,10 @@ class PipelineSpec:
 
     ``dims`` of None means sweep r = 1..p. For MRY estimators with
     ``tune_mry_lambda``, the penalty parameter is selected per work unit by
-    grid search: the grid is geometric over
-    [c_lo * e_min, c_hi * e_max], where e_min/e_max are the extreme
-    eigenvalues of the class sample precision matrices (pseudo-inverse
-    eigenvalues when singular).
+    grid search over ``lambda_grid_size`` geometric points in
+    [lambda_c_lo * m, lambda_c_hi * m], where m is the largest off-diagonal
+    entry of the class sample covariances in absolute value (see
+    lambda_grid). Invalid values raise InvalidInputError naming the field.
     """
 
     name: str
@@ -184,6 +191,12 @@ class PipelineSpec:
     lambda_grid_size: int = 10
     lambda_c_lo: float = 1e-3
     lambda_c_hi: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self, {"standardize": IS_BOOL, "tune_mry_lambda": IS_BOOL,
+                            "lambda_grid_size": IS_COUNT,
+                            "lambda_c_lo": IS_POSITIVE,
+                            "lambda_c_hi": IS_POSITIVE})
 
     def resolved_dims(self, p: int) -> tuple:
         dims = tuple(range(1, p + 1)) if self.dims is None else tuple(self.dims)
@@ -293,18 +306,22 @@ def _pipeline_cers(train: LabeledDataset, test: LabeledDataset,
 
 def lambda_grid(summaries, grid_size: int = 10, c_lo: float = 1e-3,
                 c_hi: float = 1.0) -> np.ndarray:
-    """Geometric penalty grid informed by class sample precision spectra."""
-    prec_min, prec_max = np.inf, 0.0
-    for cs in summaries:
-        evals = np.linalg.eigvalsh(np.asarray(cs.cov))
-        pos = evals[evals > 1e-12 * max(evals[-1], 1e-300)]
-        if pos.size == 0:
-            continue
-        prec_min = min(prec_min, 1.0 / pos[-1])
-        prec_max = max(prec_max, 1.0 / pos[0])
-    if not np.isfinite(prec_min) or prec_max <= 0:
-        raise TuningError("class covariances have no positive eigenvalues")
-    lo, hi = c_lo * prec_min, c_hi * prec_max
+    """Geometric penalty grid over [c_lo * m, c_hi * m], in the units of S.
+
+    m is the largest off-diagonal |S_ij| over the class sample covariances:
+    at lambda = m the simple-penalty solution turns diagonal (Friedman,
+    Hastie and Tibshirani 2008), so the grid scales with the data, as the
+    penalty does. When every S is diagonal (or p = 1), m falls back to the
+    largest diagonal entry. Inverted bounds give the single candidate
+    c_hi * m.
+    """
+    covs = [np.asarray(cs.cov) for cs in summaries]
+    scale = max(float(np.max(np.abs(c - np.diag(np.diag(c))))) for c in covs)
+    if scale == 0:
+        scale = max(float(np.max(np.diag(c))) for c in covs)
+    if not scale > 0:
+        raise TuningError("class covariances are all zero")
+    lo, hi = c_lo * scale, c_hi * scale
     if not lo < hi:
         return np.array([hi])
     return np.geomspace(lo, hi, grid_size)
@@ -388,7 +405,7 @@ def _grid_scores_one_split(sub: LabeledDataset, val: LabeledDataset,
 def tune_lambda(train: LabeledDataset, pipeline: PipelineSpec,
                 rng: np.random.Generator,
                 inner_folds: int | None = None) -> float:
-    """Select the MRY penalty by validation error over the eigenvalue grid.
+    """Select the MRY penalty by validation error over ``lambda_grid``.
 
     With ``inner_folds`` None, each candidate is fitted on a per-class
     training split and scored by its best-over-r error on the held-out

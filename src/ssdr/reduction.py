@@ -74,6 +74,11 @@ def discriminant_matrix_from(means, covs, omegas) -> np.ndarray:
     class order, and the first class is the reference. Mean-direction
     columns are omega_i mu_i - omega_0 mu_0; covariance-difference columns
     are Sigma_i - Sigma_0.
+
+    The two blocks carry different units: multiplying every feature by c
+    scales the mean columns by 1/c and the covariance columns by c^2, which
+    reweights them in the SVD. Reduced error rates therefore change with the
+    feature units, for every estimator; studentize raw-unit data first.
     """
     k = len(means)
     if k < 2:

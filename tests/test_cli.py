@@ -348,6 +348,30 @@ class TestConfigSchema:
         assert where in err and repr(key) in err
         assert not (tmp_path / "cfg1_report.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_grid_size", 0),
+        ("lambda_c_lo", 0),
+        ("lambda_c_hi", -1.0),
+        ("admm_max_iters", 0),
+        ("admm_tol", 0),
+        ("standardize", "no"),
+        ("tune", "no"),
+        ("standardize_mean", 1),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, key, value):
+        # "tune": false leaves the admm keys to the final fit alone
+        pipeline = {"estimator": "mry", "tune": False, key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"config_id": 1, "n_policy": "2p", "seed": 1, "replicates": 1,
+             "pipelines": [pipeline]}))
+        code = run_cli("simulate", "--config", cfg_path,
+                       "--out-dir", tmp_path, "--threads", 1)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"pipelines[0].{key}:" in err and repr(value) in err
+        assert not (tmp_path / "cfg1_report.json").exists()
+
 
 class TestSelectDimAndReport:
     @pytest.fixture()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from ssdr import estimators
 from ssdr.datamodel import ClassSummary
 from ssdr.errors import (
     DegeneracyError,
     InvalidInputError,
     NotSpdError,
+    NumericalDomainError,
     SampleSizeError,
 )
 from ssdr.estimators import (
@@ -208,6 +210,21 @@ def offdiag_kkt_residual(s, omega, lam, zero_tol=1e-8):
 
 
 class TestMry:
+    @pytest.mark.parametrize("penalty", ["simple", "qda"])
+    def test_non_finite_iterate_is_typed_error(self, monkeypatch, penalty):
+        prox = estimators._logdet_prox
+
+        def nan_prox(e, t):
+            omega, q, d = prox(e, t)
+            return np.full_like(omega, np.nan), q, d
+
+        monkeypatch.setattr(estimators, "_logdet_prox", nan_prox)
+        spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=0.1,
+                                      mry_penalty=penalty)
+        s = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(NumericalDomainError, match="not finite"):
+            mry(cs_from(s, mean=[1.0, -1.0]), spec)
+
     def test_saturation_returns_diagonal(self):
         s = np.array([[1.0, 0.5], [0.5, 1.0]])
         spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=0.6)
@@ -325,6 +342,23 @@ class TestEstimateDispatch:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             PrecisionEstimatorSpec(kind="ridge")
+
+    @pytest.mark.parametrize("field, value", [
+        ("admm_max_iters", 0), ("admm_max_iters", 10.0),
+        ("admm_max_iters", True), ("admm_tol", 0.0), ("admm_tol", "1e-6"),
+        ("admm_tol", float("nan")), ("mry_standardize_mean", 1),
+        ("mry_lambda", 0.0), ("mry_gamma", -1.0),
+    ])
+    def test_bad_setting_value_names_its_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=field) as info:
+            PrecisionEstimatorSpec(kind="mry", mry_penalty="qda",
+                                   **{field: value})
+        assert info.value.field == field
+
+    def test_numpy_setting_values_accepted(self):
+        spec = PrecisionEstimatorSpec(kind="mry", admm_max_iters=np.int64(5),
+                                      admm_tol=np.float64(1e-3))
+        assert spec.admm_max_iters == 5
 
     @pytest.mark.parametrize("kind", ["sample_inverse", "haff", "wang",
                                       "bodnar", "mry"])

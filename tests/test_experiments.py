@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from ssdr import qda
+from ssdr import estimators, experiments, qda
 from ssdr.datamodel import ClassSummary, LabeledDataset, summarize
 from ssdr.errors import (
     InvalidInputError,
@@ -31,12 +31,32 @@ from ssdr.qda import CerReport
 SAMPLE = PrecisionEstimatorSpec(kind="sample_inverse")
 
 
+_LOGDET_PROX = estimators._logdet_prox
+
+
+def _nan_prox(e, t):
+    omega, q, d = _LOGDET_PROX(e, t)
+    return np.full_like(omega, np.nan), q, d
+
+
 def blobs(rng, n_per=40, p=3, k=2, spread=8.0):
     feats, labels = [], []
     for c in range(k):
         feats.append(rng.normal(size=(n_per, p)) + spread * c)
         labels.append(np.full(n_per, c))
     return LabeledDataset(np.vstack(feats), np.concatenate(labels))
+
+
+class TestPipelineSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_grid_size", 0), ("lambda_grid_size", 2.0),
+        ("lambda_c_lo", 0), ("lambda_c_hi", -1.0), ("lambda_c_hi", np.inf),
+        ("standardize", "no"), ("tune_mry_lambda", None),
+    ])
+    def test_bad_setting_value_names_its_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=field) as info:
+            PipelineSpec(name="m", estimator=SAMPLE, **{field: value})
+        assert info.value.field == field
 
 
 class TestMvnSample:
@@ -325,18 +345,16 @@ class TestSelectDimension:
 
 
 class TestTuneLambda:
-    def test_grid_spans_precision_spectrum(self):
+    def test_grid_anchored_at_largest_off_diagonal_covariance(self):
         rng = np.random.default_rng(14)
         ds = blobs(rng, n_per=30, p=3)
         grid = lambda_grid(summarize(ds), grid_size=10, c_lo=1e-3, c_hi=1.0)
         assert grid.size == 10
         assert np.all(np.diff(grid) > 0)
-        evs = [np.linalg.eigvalsh(np.asarray(cs.cov))
-               for cs in summarize(ds)]
-        emax = max(1.0 / ev[0] for ev in evs)
-        emin = min(1.0 / ev[-1] for ev in evs)
-        assert grid[0] == pytest.approx(1e-3 * emin)
-        assert grid[-1] == pytest.approx(emax)
+        m = max(np.max(np.abs(cs.cov[~np.eye(3, dtype=bool)]))
+                for cs in summarize(ds))
+        assert grid[0] == pytest.approx(1e-3 * m)
+        assert grid[-1] == pytest.approx(m)
 
     def test_single_point_grid_returned(self):
         rng = np.random.default_rng(15)
@@ -362,6 +380,33 @@ class TestTuneLambda:
         lam = tune_lambda(ds, pl, np.random.default_rng(1))
         grid = lambda_grid(summarize(ds), 5)
         assert lam == pytest.approx(float(grid[-1]))
+
+    def test_non_finite_candidate_is_dropped(self, monkeypatch):
+        # perfectly separated blobs: every candidate scores zero error, so
+        # without the poisoned top candidate the next largest one wins
+        rng = np.random.default_rng(16)
+        ds = blobs(rng, n_per=40, p=3, spread=50.0)
+        pl = PipelineSpec(
+            name="m",
+            estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
+            dims=(1, 2), lambda_grid_size=5)
+        grid = lambda_grid(summarize(ds), 5)
+        poisoned = []
+
+        def mry_poisoning_top(cs, spec, warm_start=None):
+            top = spec.mry_lambda == pytest.approx(float(grid[-1]))
+            monkeypatch.setattr(estimators, "_logdet_prox",
+                                _nan_prox if top else _LOGDET_PROX)
+            try:
+                return estimators.mry(cs, spec, warm_start)
+            except SsdrError:
+                poisoned.append(spec.mry_lambda)
+                raise
+
+        monkeypatch.setattr(experiments, "mry", mry_poisoning_top)
+        lam = tune_lambda(ds, pl, np.random.default_rng(1))
+        assert poisoned
+        assert lam == pytest.approx(float(grid[-2]))
 
     def test_all_candidates_failing_raises(self):
         rng = np.random.default_rng(17)

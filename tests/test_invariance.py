@@ -5,26 +5,42 @@
 * Estimators that depend on S only through its spectrum are rotation
   equivariant: Omega(Q S Q') = Q Omega(S) Q' for orthogonal Q.
 * The scale-free ones are also scale equivariant: Omega(c S) = Omega(S) / c.
+* MRY is scale equivariant once its penalty scales with S:
+  Omega(c S; c lambda) = Omega(S; lambda) / c, for the simple penalty and
+  for the QDA penalty with a standardized mean. The tuning grid scales with
+  S, lambda_grid(c S) = c lambda_grid(S), so a tuned lambda follows it.
+
+Whole-pipeline rates are not scale invariant, even for sample_inverse: the
+discriminant matrix's mean columns scale as 1/c and its covariance columns
+as c^2, so no pipeline-level scaling property is tested here.
 
 Wang's beta comes from a ternary search with a finite tolerance, so its
 equivariance holds to about 1e-7 rather than to rounding.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdr.datamodel import ClassSummary, LabeledDataset
+from ssdr.errors import TuningError
 from ssdr.estimators import PrecisionEstimatorSpec, estimate
 from ssdr.experiments import (
     PipelineSpec,
     _pipeline_cers,
+    lambda_grid,
     mvn_sample,
     simulation_config,
 )
 
 CLOSED_FORM_TOL = 1e-9
 WANG_TOL = 1e-6
+GRID_TOL = 1e-12
+# ADMM stops on absolute residuals, which scale differently with c, so
+# equivariance to 1e-9 needs a tolerance well below it and a moderate c
+MRY_TOL = 1e-9
+MRY_ADMM_TOL = 1e-11
 
 FIXED_LAMBDA_PIPELINES = [
     PipelineSpec(name=kind, estimator=PrecisionEstimatorSpec(kind=kind))
@@ -65,8 +81,9 @@ def test_feature_permutation_leaves_every_rate_unchanged(config_id, n_policy,
         assert permuted == base, pl.name
 
 
-def _summary(cov, n):
-    return ClassSummary(class_id=0, n_i=n, mean=np.zeros(cov.shape[0]),
+def _summary(cov, n, mean=None, class_id=0):
+    mean = np.zeros(cov.shape[0]) if mean is None else mean
+    return ClassSummary(class_id=class_id, n_i=n, mean=mean,
                         cov=(cov + cov.T) / 2, prior=1.0)
 
 
@@ -109,3 +126,53 @@ def test_scale_equivariance(problem, c):
         omega = estimate(_summary(s, n), spec).omega
         scaled = estimate(_summary(c * s, n), spec).omega
         assert _rel(scaled, omega / c) <= tol, kind
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(covariances(), min_size=1, max_size=3), st.floats(1e-2, 1e2))
+def test_lambda_grid_scales_with_the_covariances(problems, c):
+    summaries = [_summary(s, n, class_id=i)
+                 for i, (s, n, _) in enumerate(problems)]
+    scaled = [_summary(c * s, n, class_id=i)
+              for i, (s, n, _) in enumerate(problems)]
+    grid = lambda_grid(summaries)
+    np.testing.assert_allclose(lambda_grid(scaled), c * grid, rtol=GRID_TOL,
+                               atol=0)
+
+
+def test_lambda_grid_falls_back_to_the_diagonal():
+    diag = _summary(np.diag([2.0, 5.0, 3.0]), 10)
+    np.testing.assert_allclose(lambda_grid([diag], 3, 1e-2, 1.0),
+                               [0.05, 0.5, 5.0], rtol=GRID_TOL)
+    one = _summary(np.array([[4.0]]), 10)
+    assert lambda_grid([one], 2, 0.5, 1.0).tolist() == [2.0, 4.0]
+    with pytest.raises(TuningError):
+        lambda_grid([_summary(np.zeros((2, 2)), 10)])
+
+
+@st.composite
+def conditioned_covariances(draw):
+    """A covariance from covariances() plus its mean eigenvalue times I.
+
+    Its condition number stays below p + 1. ADMM stops on absolute
+    residuals, so how closely its Omega approaches the optimum degrades with
+    the conditioning of S; this keeps the test about equivariance rather
+    than solver accuracy.
+    """
+    s, n, rng = draw(covariances())
+    return s + np.trace(s) / s.shape[0] * np.eye(s.shape[0]), n, rng
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(conditioned_covariances(), st.floats(0.1, 10.0), st.floats(0.02, 0.5))
+def test_mry_scale_equivariance(problem, c, lam):
+    s, n, rng = problem
+    mean = rng.normal(size=s.shape[0])
+    for penalty in ("simple", "qda"):
+        spec = PrecisionEstimatorSpec(
+            kind="mry", mry_penalty=penalty, mry_standardize_mean=True,
+            mry_lambda=lam, admm_tol=MRY_ADMM_TOL, admm_max_iters=50_000)
+        omega = estimate(_summary(s, n, mean), spec).omega
+        scaled = estimate(_summary(c * s, n, np.sqrt(c) * mean),
+                          spec.with_lambda(c * lam)).omega
+        assert _rel(scaled, omega / c) <= MRY_TOL, penalty
