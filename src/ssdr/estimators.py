@@ -23,6 +23,7 @@ typed error is raised.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -302,29 +303,40 @@ def bodnar(cs: ClassSummary, target="identity",
     return PrecisionEstimate(omega=omega, diagnostics=diag)
 
 
-def _soft_threshold_offdiag(m: np.ndarray, thr: float) -> np.ndarray:
-    """Entrywise soft threshold sparing the diagonal."""
+def _soft_threshold_offdiag(m: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Entrywise soft threshold of each matrix of a stack, sparing the
+    diagonal; ``thr`` holds one threshold per matrix, shape (B, 1, 1)."""
     out = np.sign(m) * np.maximum(np.abs(m) - thr, 0.0)
-    np.fill_diagonal(out, np.diag(m))
+    step = m.shape[-1] + 1  # the diagonal of a flattened matrix
+    out.reshape(len(m), -1)[:, ::step] = m.reshape(len(m), -1)[:, ::step]
     return out
 
 
 def _symmetric_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^T) / 2 without ``symmetrize``'s copy and finiteness scan; the
-    ADMM loop validates its inputs at entry and guards its residuals."""
-    return (a + a.T) / 2.0
+    """(A + A^T) / 2 per matrix of a stack, without ``symmetrize``'s copy and
+    finiteness scan; the ADMM loop validates its inputs at entry and guards
+    its residuals."""
+    return (a + a.transpose(0, 2, 1)) / 2.0
 
 
-def _logdet_prox(e: np.ndarray, t: float):
-    """Solve t * Omega - Omega^-1 = E for SPD Omega.
+def _norms(a: np.ndarray) -> list:
+    """Frobenius norm of each matrix of a stack, one dot product each as in
+    np.linalg.norm (an einsum can differ by an ulp and move a solve's end)."""
+    f = a.reshape(len(a), 1, -1)
+    return np.sqrt(f @ f.transpose(0, 2, 1)).ravel().tolist()
 
-    Returns (Omega, Q, d) with Omega = Q diag(d) Q' from one symmetric
-    eigendecomposition; ``mry`` forms Omega^-1 = Q diag(1/d) Q' only for
-    its final iterate.
+
+def _logdet_prox(e: np.ndarray, t: np.ndarray):
+    """Solve t * Omega - Omega^-1 = E for SPD Omega, per matrix of a stack.
+
+    ``t`` holds one value per matrix, shape (B, 1). Returns (Omega, Q, d)
+    with Omega = Q diag(d) Q' from one symmetric eigendecomposition;
+    Omega^-1 = Q diag(1/d) Q' is formed only for a final iterate.
     """
     w, q = np.linalg.eigh(_symmetric_part(e))
     om_w = (w + np.sqrt(w * w + 4.0 * t)) / (2.0 * t)
-    return _symmetric_part((q * om_w) @ q.T), q, om_w
+    omega = _symmetric_part((q * om_w[:, None, :]) @ q.transpose(0, 2, 1))
+    return omega, q, om_w
 
 
 def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
@@ -345,20 +357,22 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     estimator usable when n_i <= p.
 
     Returns the sparse splitting iterate when it is SPD; otherwise returns
-    the SPD proximal iterate and sets diagnostics.repaired. The inputs are
-    validated once at entry; an iterate that stops being finite raises
+    the SPD proximal iterate and sets diagnostics.repaired. This is
+    ``mry_batch`` on one problem: an iterate that stops being finite raises
     NumericalDomainError, and running out of iterations ConvergenceError.
     """
-    if spec.kind != "mry":
-        raise InvalidInputError(f"spec.kind must be 'mry', got {spec.kind!r}")
-    lam = float(spec.mry_lambda)  # > 0, checked by the spec
+    fit, = mry_batch([cs], spec, [warm_start])
+    if isinstance(fit, SsdrError):
+        raise fit
+    return fit
+
+
+def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start):
+    """(S, B, L, L^-1, first Z) of one problem; L L' = B B' (qda mode)."""
     s = symmetrize(cs.cov)
     p = s.shape[0]
-    simple = spec.mry_penalty == "simple"
-
-    if simple:
-        b = l_inv = None
-    else:
+    b = l_fac = l_inv = None
+    if spec.mry_penalty == "qda":
         mean = np.asarray(cs.mean, dtype=float)
         if spec.mry_standardize_mean:
             sd = float(mean.std(ddof=1)) if mean.size > 1 else 0.0
@@ -367,93 +381,121 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
         b = np.column_stack([mean, spec.mry_gamma * np.eye(p)])  # (p, p+1)
         l_fac = spd_cholesky(b @ b.T)
         l_inv = solve_triangular(l_fac, np.eye(p), lower=True)
-
-    rho = 1.0  # initial ADMM penalty; residual balancing adapts it
-    tol = float(spec.admm_tol)
-    max_iters = int(spec.admm_max_iters)
-
     if warm_start is not None:
         omega = symmetrize(np.asarray(warm_start, dtype=float))
     else:
         omega = np.diag(1.0 / np.maximum(np.diag(s), 1e-8))
-    z = omega.copy() if simple else symmetrize(b.T @ omega @ b)
-    u = np.zeros_like(z)
+    z = omega.copy() if b is None else symmetrize(b.T @ omega @ b)
+    return s, b, l_fac, l_inv, z
 
-    primal = dual = np.inf
-    it = 0
+
+def _mry_estimate(cs, spec, setup, z, y, omega, q, d, primal, it):
+    """The estimate of a converged problem; y = rho * U is its dual."""
+    s, b, l_fac, _, _ = setup
+    # Omega^-1 (Theta^-1 in qda mode) from the last proximal step
+    omega_inv = symmetrize((q / d) @ q.T)
+    coefs = {"lambda": float(spec.mry_lambda)}
+    if b is not None:
+        omega_inv = symmetrize(l_fac @ omega_inv @ l_fac.T)
+        y = b @ y @ b.T
+        coefs["gamma"] = float(spec.mry_gamma)
+    # KKT stationarity with the converged (unscaled) dual rho * U; the
+    # Z-step makes rho * U an exact subgradient of lambda * |Z|_1.
+    kkt = max(float(np.max(np.abs(s - omega_inv + y))), primal)
+    out = symmetrize(z if b is None else omega)
+    repaired = bool(b is None and np.linalg.eigvalsh(out)[0] <= 0)
+    if repaired:
+        out = symmetrize(omega)
+    return PrecisionEstimate(omega=out, diagnostics=EstimateDiagnostics(
+        iterations=it, kkt_residual=kkt, shrinkage_coefficients=coefs,
+        repaired=repaired, mean_quadratic=float(cs.mean @ out @ cs.mean)))
+
+
+def mry_batch(summaries, spec: PrecisionEstimatorSpec,
+              warm_starts=None) -> list:
+    """``mry`` on problems of one dimension at one spec, as one ADMM over a
+    (B, p, p) stack; ``warm_starts`` gives each problem a starting Omega.
+
+    Inputs are validated once at entry. Each problem keeps its own rho and
+    residuals and leaves the stack once it converges or fails, so its outcome
+    is bit for bit its solo one. Returns per problem its PrecisionEstimate or
+    the typed error that ended it; errors, raised or returned, name a class.
+    """
+    if spec.kind != "mry":
+        raise InvalidInputError(f"spec.kind must be 'mry', got {spec.kind!r}")
+    lam = float(spec.mry_lambda)  # > 0, checked by the spec
+    tol = float(spec.admm_tol)
+    max_iters = int(spec.admm_max_iters)
+    simple = spec.mry_penalty == "simple"
+    setups = []
+    for cs, warm in zip(summaries, warm_starts or [None] * len(summaries),
+                        strict=True):
+        try:
+            setups.append(_mry_setup(cs, spec, warm))
+        except SsdrError as exc:
+            exc.attach_class(cs.class_id)
+            raise
+    if len({st[4].shape for st in setups}) != 1:
+        raise InvalidInputError("mry_batch needs problems of one dimension")
+    s, b, _, l_inv, z = (None if st[0] is None else np.stack(st)
+                         for st in zip(*setups))
+    u = np.zeros_like(z)
+    outcomes = [None] * len(setups)
+    rows = list(range(len(setups)))  # the problem in each row of the stacks
+    rho = [1.0] * len(rows)  # initial ADMM penalty; residual balancing adapts it
+
     for it in range(1, max_iters + 1):
+        t = np.array(rho).reshape(-1, 1, 1)
         if simple:
-            e = rho * (z - u) - s
-            omega, q, d = _logdet_prox(e, rho)
+            omega, q, d = _logdet_prox(t * (z - u) - s, t[:, 0])
             azb = omega
         else:
             # exact update: rho*Theta - Theta^-1 = L^-1 (rho*B(Z-U)B' - S) L^-T
-            g = b @ (z - u) @ b.T
-            e = l_inv @ (rho * g - s) @ l_inv.T
-            theta, q, d = _logdet_prox(e, rho)
-            omega = _symmetric_part(l_inv.T @ theta @ l_inv)
-            azb = _symmetric_part(b.T @ omega @ b)
+            b_t, l_inv_t = b.transpose(0, 2, 1), l_inv.transpose(0, 2, 1)
+            e = l_inv @ (t * (b @ (z - u) @ b_t) - s) @ l_inv_t
+            theta, q, d = _logdet_prox(e, t[:, 0])
+            omega = _symmetric_part(l_inv_t @ theta @ l_inv)
+            azb = _symmetric_part(b_t @ omega @ b)
 
         z_prev = z
-        z = _soft_threshold_offdiag(azb + u, lam / rho)
+        z = _soft_threshold_offdiag(azb + u, lam / t)
         u = u + azb - z
-
-        primal = float(np.linalg.norm(azb - z))
         dz = z - z_prev
-        if simple:
-            dual = rho * float(np.linalg.norm(dz))
-        else:
-            dual = rho * float(np.linalg.norm(b @ dz @ b.T))
-        # finite residuals keep the next iteration's z, u and azb finite
-        if not np.isfinite(primal + dual):
-            raise NumericalDomainError(
-                f"ADMM iterate is not finite at iteration {it}")
-        if max(primal, dual) < tol:
+        primal = _norms(azb - z)
+        dual = _norms(dz if simple else b @ dz @ b_t)
+        keep = []
+        for j, i in enumerate(rows):
+            pr, du, cid = primal[j], rho[j] * dual[j], summaries[i].class_id
+            # finite residuals keep the next iteration's z, u and azb finite
+            if not math.isfinite(pr + du):
+                outcomes[i] = NumericalDomainError(
+                    f"ADMM iterate is not finite at iteration {it}",
+                    class_id=cid)
+            elif max(pr, du) < tol:
+                outcomes[i] = _mry_estimate(
+                    summaries[i], spec, setups[i], z[j], rho[j] * u[j],
+                    omega[j], q[j], d[j], pr, it)
+            elif it == max_iters:
+                outcomes[i] = ConvergenceError(
+                    f"ADMM did not converge in {max_iters} iterations "
+                    f"(primal={pr:.3e}, dual={du:.3e})",
+                    primal=pr, dual=du, iterations=max_iters, class_id=cid)
+            else:
+                keep.append(j)
+                if pr > 10.0 * du and du > 0:
+                    rho[j] *= 2.0
+                    u[j] /= 2.0
+                elif du > 10.0 * pr and pr > 0:
+                    rho[j] /= 2.0
+                    u[j] *= 2.0
+        if not keep:
             break
-        if primal > 10.0 * dual and dual > 0:
-            rho *= 2.0
-            u /= 2.0
-        elif dual > 10.0 * primal and primal > 0:
-            rho /= 2.0
-            u *= 2.0
-    else:
-        raise ConvergenceError(
-            f"ADMM did not converge in {max_iters} iterations "
-            f"(primal={primal:.3e}, dual={dual:.3e})",
-            primal=primal, dual=dual, iterations=max_iters,
-        )
-
-    # Omega^-1 (Theta^-1 in qda mode) from the last proximal step
-    omega_inv = symmetrize((q / d) @ q.T)
-    if not simple:
-        omega_inv = symmetrize(l_fac @ omega_inv @ l_fac.T)
-    # KKT stationarity with the converged (unscaled) dual rho * U; the
-    # Z-step makes rho * U an exact subgradient of lambda * |Z|_1.
-    y = rho * u
-    if simple:
-        stat = s - omega_inv + y
-    else:
-        stat = s - omega_inv + b @ y @ b.T
-    kkt = max(float(np.max(np.abs(stat))), primal)
-
-    repaired = False
-    if simple:
-        out = symmetrize(z)
-        if np.linalg.eigvalsh(out)[0] <= 0:
-            out = symmetrize(omega)
-            repaired = True
-    else:
-        out = symmetrize(omega)
-
-    diag = EstimateDiagnostics(
-        iterations=it,
-        kkt_residual=kkt,
-        shrinkage_coefficients={"lambda": lam} if simple else
-        {"lambda": lam, "gamma": float(spec.mry_gamma)},
-        repaired=repaired,
-        mean_quadratic=float(cs.mean @ out @ cs.mean),
-    )
-    return PrecisionEstimate(omega=out, diagnostics=diag)
+        if len(keep) < len(rows):  # the finished problems leave the stacks
+            rows, rho = [rows[j] for j in keep], [rho[j] for j in keep]
+            s, z, u = s[keep], z[keep], u[keep]
+            if not simple:
+                b, l_inv = b[keep], l_inv[keep]
+    return outcomes
 
 
 def estimate(cs: ClassSummary, spec: PrecisionEstimatorSpec) -> PrecisionEstimate:

@@ -10,9 +10,9 @@ class serves every r of the sweep (see ``_sweep_cers``). The full-feature
 QDA error is always recorded as a baseline under the method name
 "qda_full". The Monte Carlo and CV workers both go through these two
 functions, and ``_study_report`` turns their per-unit results into a
-CerReport. Penalty tuning (``_grid_scores_one_split``) repeats only the
-discriminant matrix -> SVD -> sweep steps, because its candidate fits are
-warm-started ``mry`` solves rather than ``build_discriminant_matrix`` fits.
+CerReport. Penalty tuning (``tune_lambda``) repeats only the discriminant
+matrix -> SVD -> sweep steps (``_candidate_score``): it fits each candidate
+for every class of every tuning split in one warm-started ``mry_batch``.
 
 Reproducibility contract: every work unit (replicate, repeat, tuning split)
 derives its RNG stream from the master seed and the unit index via
@@ -37,7 +37,8 @@ from .estimators import (
     IS_POSITIVE,
     PrecisionEstimatorSpec,
     check_fields,
-    mry,
+    mry,  # noqa: F401 -- not called here; perfbench/tracing.py wraps this name
+    mry_batch,
 )
 from .numerics import cholesky_prefix, spd_cholesky, svd_full, symmetrize
 from .qda import CerReport
@@ -360,46 +361,18 @@ def _stratified_fold_ids(labels: np.ndarray, folds: int,
     return assign
 
 
-def _candidate_score(cers_by_r: dict) -> float | None:
-    vals = [v for v in cers_by_r.values() if v is not None]
+def _candidate_score(sub: LabeledDataset, val: LabeledDataset, summaries,
+                     omegas, dims) -> float | None:
+    """Best-over-r validation error of one candidate's class precisions."""
+    try:
+        mhat = discriminant_matrix_from(
+            [cs.mean for cs in summaries], [cs.cov for cs in summaries], omegas)
+        u_full, _, _ = svd_full(mhat)
+        cers = _sweep_cers(sub, val, u_full, dims)
+    except SsdrError:
+        return None
+    vals = [v for v in cers.values() if v is not None]
     return min(vals) if vals else None
-
-
-def _grid_scores_one_split(sub: LabeledDataset, val: LabeledDataset,
-                           pipeline: PipelineSpec, grid: np.ndarray,
-                           dims) -> dict:
-    """Best-over-r validation error per penalty candidate on one split.
-
-    Candidates are solved from largest penalty down, warm-starting each
-    class's ADMM from its neighbor's solution; small penalties on singular
-    covariances are expensive from a cold start.
-    """
-    summaries = summarize(sub)
-    warm = {cs.class_id: None for cs in summaries}
-    base = replace(
-        pipeline.estimator,
-        admm_tol=max(pipeline.estimator.admm_tol, _TUNING_ADMM_TOL),
-        admm_max_iters=min(pipeline.estimator.admm_max_iters,
-                           _TUNING_ADMM_MAX_ITERS),
-    )
-    scores = {}
-    for lam in sorted(grid, reverse=True):
-        spec = base.with_lambda(lam)
-        try:
-            omegas = []
-            for cs in summaries:
-                fitted = mry(cs, spec, warm_start=warm[cs.class_id])
-                warm[cs.class_id] = fitted.omega
-                omegas.append(fitted.omega)
-            mhat = discriminant_matrix_from(
-                [cs.mean for cs in summaries], [cs.cov for cs in summaries],
-                omegas)
-            u_full, _, _ = svd_full(mhat)
-            scores[float(lam)] = _candidate_score(
-                _sweep_cers(sub, val, u_full, dims))
-        except SsdrError:
-            scores[float(lam)] = None
-    return scores
 
 
 def tune_lambda(train: LabeledDataset, pipeline: PipelineSpec,
@@ -410,9 +383,13 @@ def tune_lambda(train: LabeledDataset, pipeline: PipelineSpec,
     With ``inner_folds`` None, each candidate is fitted on a per-class
     training split and scored by its best-over-r error on the held-out
     rest; otherwise that error is averaged over ``inner_folds`` stratified
-    folds. ``rng`` draws the split. Ties (and flat profiles) resolve toward
-    the largest penalty, i.e. the sparsest estimate. Raises TuningError when
-    every candidate fails.
+    folds. ``rng`` draws the split. Candidates run from the largest penalty
+    down, each as one ``mry_batch`` over every (split, class) problem, warm
+    started from the previous candidate's fits, as if each split's classes
+    were fitted in order: a failed class drops the candidate for its split,
+    and it and the classes after it keep their warm start. Ties (and flat
+    profiles) resolve toward the largest penalty, i.e. the sparsest
+    estimate. Raises TuningError when every candidate fails.
     """
     if pipeline.estimator.kind != "mry":
         raise InvalidInputError("lambda tuning applies to MRY pipelines only")
@@ -429,10 +406,31 @@ def tune_lambda(train: LabeledDataset, pipeline: PipelineSpec,
             for f in range(inner_folds)
         ]
 
-    per_split = [
-        _grid_scores_one_split(sub, val, pipeline, grid, dims)
-        for sub, val in splits
-    ]
+    base = replace(
+        pipeline.estimator,
+        admm_tol=max(pipeline.estimator.admm_tol, _TUNING_ADMM_TOL),
+        admm_max_iters=min(pipeline.estimator.admm_max_iters,
+                           _TUNING_ADMM_MAX_ITERS),
+    )
+    summaries = [summarize(sub) for sub, _ in splits]
+    warm = [[None] * len(split) for split in summaries]
+    per_split = [{} for _ in splits]
+    for lam in sorted(grid, reverse=True):
+        fits = mry_batch([cs for split in summaries for cs in split],
+                         base.with_lambda(lam), sum(warm, []))
+        for (sub, val), split, w, scores in zip(splits, summaries, warm,
+                                                per_split):
+            omegas = []
+            for c, fit in enumerate(fits[:len(split)]):
+                if isinstance(fit, SsdrError):
+                    break
+                w[c] = fit.omega
+                omegas.append(fit.omega)
+            fits = fits[len(split):]
+            scores[float(lam)] = (
+                _candidate_score(sub, val, split, omegas, dims)
+                if len(omegas) == len(split) else None)
+
     best_lam, best_score = None, np.inf
     for lam in grid:  # ascending; <= prefers larger lambda on ties
         vals = [s[float(lam)] for s in per_split]

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ssdr import estimators
 from ssdr.datamodel import ClassSummary
 from ssdr.errors import (
+    ConvergenceError,
     DegeneracyError,
     InvalidInputError,
     NotSpdError,
     NumericalDomainError,
     SampleSizeError,
+    SsdrError,
 )
 from ssdr.estimators import (
+    PrecisionEstimate,
     PrecisionEstimatorSpec,
     bodnar,
     estimate,
     haff,
     mry,
+    mry_batch,
     sample_inverse,
     wang,
 )
@@ -296,6 +302,119 @@ class TestMry:
         warm = mry(cs_from(s, n=20), spec,
                    warm_start=cold.omega + 0.01 * np.eye(5))
         np.testing.assert_allclose(cold.omega, warm.omega, atol=1e-5)
+
+
+def _solo(cs, spec, warm_start=None):
+    """One problem through ``mry``: its estimate or its typed error."""
+    try:
+        return mry(cs, spec, warm_start)
+    except SsdrError as exc:
+        return exc
+
+
+def _outcome(fit):
+    """Everything a solve reports, compared bit for bit."""
+    if isinstance(fit, PrecisionEstimate):
+        d = fit.diagnostics
+        return ("fit", fit.omega.tobytes(), d.iterations, d.kkt_residual,
+                d.repaired, d.mean_quadratic, d.shrinkage_coefficients)
+    return (type(fit), str(fit), fit.class_id, getattr(fit, "iterations", None),
+            getattr(fit, "primal", None), getattr(fit, "dual", None))
+
+
+@st.composite
+def mry_batches(draw):
+    """Problems of one dimension with class ids, some warm started, some
+    with n_i <= p (singular S, slow to converge)."""
+    p = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problems, warm_starts = [], []
+    for c in range(draw(st.integers(2, 5))):
+        n = draw(st.sampled_from([2, p, 3 * p + 10]))
+        x = rng.normal(size=(n, p)) * rng.uniform(0.3, 3.0, size=p)
+        cov = np.cov(x, rowvar=False, bias=True)
+        problems.append(cs_from(cov, n=n, class_id=c,
+                                mean=x.mean(axis=0) + rng.normal(size=p)))
+        warm_starts.append(np.linalg.inv(cov + np.eye(p))
+                           if draw(st.booleans()) else None)
+    return problems, warm_starts
+
+
+class TestMryBatch:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(mry_batches(), st.sampled_from(["simple", "qda"]),
+           st.floats(0.01, 0.5), st.integers(5, 80))
+    def test_each_problem_matches_its_solo_solve(self, batch, penalty, lam,
+                                                 max_iters):
+        problems, warm_starts = batch
+        spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=lam,
+                                      mry_penalty=penalty,
+                                      admm_max_iters=max_iters)
+        fits = mry_batch(problems, spec, warm_starts)
+        solos = [_solo(cs, spec, w) for cs, w in zip(problems, warm_starts)]
+        # a mix: some problems converge within the budget, some are capped
+        assume(any(isinstance(f, PrecisionEstimate) for f in solos))
+        assume(any(isinstance(f, ConvergenceError) for f in solos))
+        assert [_outcome(f) for f in fits] == [_outcome(f) for f in solos]
+
+    def test_residual_norms_match_linalg_norm(self):
+        # residuals decide where a solve stops; summed in another order they
+        # can differ by an ulp, and batched results would leave the solo ones
+        rng = np.random.default_rng(16)
+        for p in (2, 8, 11, 51):
+            stack = rng.normal(size=(15, p, p)) * rng.uniform(1e-3, 1e3)
+            assert estimators._norms(stack) == [
+                float(np.linalg.norm(m)) for m in stack]
+
+    @pytest.mark.parametrize("penalty", ["simple", "qda"])
+    def test_non_finite_iterate_fails_only_its_problem(self, monkeypatch,
+                                                       penalty):
+        rng = np.random.default_rng(13)
+        problems = [cs_from(random_spd(rng, 3), n=20, class_id=c,
+                            mean=rng.normal(size=3)) for c in range(3)]
+        spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=0.1,
+                                      mry_penalty=penalty)
+        solos = [mry(cs, spec) for cs in problems]
+        prox, calls = estimators._logdet_prox, []
+
+        def nan_in_second_problem(e, t):
+            omega, q, d = prox(e, t)
+            if not calls:  # the first step of the stack of all three
+                omega[1] = np.nan
+            calls.append(len(e))
+            return omega, q, d
+
+        monkeypatch.setattr(estimators, "_logdet_prox", nan_in_second_problem)
+        fits = mry_batch(problems, spec)
+        assert isinstance(fits[1], NumericalDomainError)
+        assert fits[1].class_id == 1 and "not finite" in str(fits[1])
+        for i in (0, 2):
+            assert fits[i].omega.tobytes() == solos[i].omega.tobytes()
+        assert calls[:2] == [3, 2]  # the failed problem left the stack
+
+    def test_errors_name_their_class(self):
+        rng = np.random.default_rng(14)
+        problems = [cs_from(random_spd(rng, 3), n=20, class_id=c)
+                    for c in (4, 7)]
+        capped = PrecisionEstimatorSpec(kind="mry", admm_max_iters=1)
+        fits = mry_batch(problems, capped)
+        assert all(isinstance(f, ConvergenceError) for f in fits)
+        assert [f.class_id for f in fits] == [4, 7]
+        assert str(fits[1]).startswith("class 7: ADMM did not converge")
+        with pytest.raises(ConvergenceError) as info:
+            mry(problems[1], capped)
+        assert info.value.class_id == 7
+        with pytest.raises(InvalidInputError) as info:
+            mry_batch(problems, capped, [None, np.full((3, 3), np.nan)])
+        assert info.value.class_id == 7
+
+    def test_problems_must_share_a_dimension(self):
+        rng = np.random.default_rng(15)
+        spec = PrecisionEstimatorSpec(kind="mry")
+        with pytest.raises(InvalidInputError):
+            mry_batch([cs_from(random_spd(rng, p)) for p in (2, 3)], spec)
+        with pytest.raises(InvalidInputError):
+            mry_batch([], spec)
 
 
 @pytest.mark.parametrize("penalty", ["simple", "qda"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from ssdr.errors import (
     StratificationError,
     TuningError,
 )
-from ssdr.estimators import PrecisionEstimatorSpec
+from ssdr.estimators import PrecisionEstimatorSpec, mry
 from ssdr.experiments import (
     _SWEEP_BLOCK_ROWS,
     PipelineSpec,
@@ -26,7 +28,9 @@ from ssdr.experiments import (
     simulation_config,
     tune_lambda,
 )
+from ssdr.numerics import svd_full
 from ssdr.qda import CerReport
+from ssdr.reduction import discriminant_matrix_from
 
 SAMPLE = PrecisionEstimatorSpec(kind="sample_inverse")
 
@@ -37,6 +41,56 @@ _LOGDET_PROX = estimators._logdet_prox
 def _nan_prox(e, t):
     omega, q, d = _LOGDET_PROX(e, t)
     return np.full_like(omega, np.nan), q, d
+
+
+def _serial_grid_scores(sub, val, pipeline, grid, failures):
+    """Reference for tuning on one split: candidates from the largest
+    penalty down, classes fitted one at a time by ``mry``, each warm started
+    from its last fit; a failed class ends its candidate, and the classes
+    after it are not fitted at that penalty. Appends (lambda, class id) of
+    each failure to ``failures``."""
+    summaries = summarize(sub)
+    warm = {cs.class_id: None for cs in summaries}
+    base = replace(
+        pipeline.estimator,
+        admm_tol=max(pipeline.estimator.admm_tol, experiments._TUNING_ADMM_TOL),
+        admm_max_iters=min(pipeline.estimator.admm_max_iters,
+                           experiments._TUNING_ADMM_MAX_ITERS))
+    scores = {}
+    for lam in sorted(grid, reverse=True):
+        spec = base.with_lambda(lam)
+        scores[float(lam)] = None
+        omegas = []
+        for cs in summaries:
+            try:
+                fitted = mry(cs, spec, warm_start=warm[cs.class_id])
+            except SsdrError:
+                failures.append((float(lam), cs.class_id))
+                break
+            warm[cs.class_id] = fitted.omega
+            omegas.append(fitted.omega)
+        else:
+            try:
+                u_full, _, _ = svd_full(discriminant_matrix_from(
+                    [cs.mean for cs in summaries],
+                    [cs.cov for cs in summaries], omegas))
+                cers = _sweep_cers(sub, val, u_full,
+                                   pipeline.resolved_dims(sub.p))
+            except SsdrError:
+                continue
+            vals = [v for v in cers.values() if v is not None]
+            scores[float(lam)] = min(vals) if vals else None
+    return scores
+
+
+def _select_lambda(grid, per_split):
+    """The largest penalty of least mean score over splits that all scored."""
+    best_lam, best_score = None, np.inf
+    for lam in grid:
+        vals = [s[float(lam)] for s in per_split]
+        if all(v is not None for v in vals) and np.mean(vals) <= best_score:
+            best_lam, best_score = float(lam), float(np.mean(vals))
+    return best_lam
 
 
 def blobs(rng, n_per=40, p=3, k=2, spread=8.0):
@@ -393,20 +447,61 @@ class TestTuneLambda:
         grid = lambda_grid(summarize(ds), 5)
         poisoned = []
 
-        def mry_poisoning_top(cs, spec, warm_start=None):
+        def batch_poisoning_top(summaries, spec, warm_starts=None):
             top = spec.mry_lambda == pytest.approx(float(grid[-1]))
             monkeypatch.setattr(estimators, "_logdet_prox",
                                 _nan_prox if top else _LOGDET_PROX)
-            try:
-                return estimators.mry(cs, spec, warm_start)
-            except SsdrError:
-                poisoned.append(spec.mry_lambda)
-                raise
+            fits = estimators.mry_batch(summaries, spec, warm_starts)
+            poisoned.extend(spec.mry_lambda for fit in fits
+                            if isinstance(fit, SsdrError))
+            return fits
 
-        monkeypatch.setattr(experiments, "mry", mry_poisoning_top)
+        monkeypatch.setattr(experiments, "mry_batch", batch_poisoning_top)
         lam = tune_lambda(ds, pl, np.random.default_rng(1))
         assert poisoned
         assert lam == pytest.approx(float(grid[-2]))
+
+    @pytest.mark.parametrize("penalty, seed", [("simple", 1), ("qda", 0)])
+    def test_batched_solves_keep_the_serial_warm_start_chain(
+            self, monkeypatch, penalty, seed):
+        # a 50-iteration budget makes some classes fail partway down the
+        # grid, classes before the last among them
+        ds = blobs(np.random.default_rng(seed), n_per=14, p=4, k=3,
+                   spread=2.0)
+        pl = PipelineSpec(
+            name="m", dims=(1, 2, 3, 4), lambda_grid_size=6,
+            estimator=PrecisionEstimatorSpec(kind="mry", mry_penalty=penalty,
+                                             admm_max_iters=50))
+        grid = lambda_grid(summarize(ds), 6)
+        fold_ids = _stratified_fold_ids(ds.labels, 3,
+                                        np.random.default_rng(0))
+        splits = [(ds.subset(fold_ids != f), ds.subset(fold_ids == f))
+                  for f in range(3)]
+        failures = []
+        expected = [_serial_grid_scores(sub, val, pl, grid, failures)
+                    for sub, val in splits]
+        assert any(class_id < 2 for _, class_id in failures)
+        assert any(v is not None for scores in expected
+                   for v in scores.values())
+
+        seen, lams = {}, []
+        batch, score = experiments.mry_batch, experiments._candidate_score
+
+        def spy_batch(summaries, spec, warm_starts=None):
+            lams.append(spec.mry_lambda)
+            return batch(summaries, spec, warm_starts)
+
+        def spy_score(sub, val, *args):
+            seen[lams[-1], val.features.tobytes()] = score(sub, val, *args)
+            return seen[lams[-1], val.features.tobytes()]
+
+        monkeypatch.setattr(experiments, "mry_batch", spy_batch)
+        monkeypatch.setattr(experiments, "_candidate_score", spy_score)
+        lam = tune_lambda(ds, pl, np.random.default_rng(0), inner_folds=3)
+        got = [{float(g): seen.get((float(g), val.features.tobytes()))
+                for g in grid} for _, val in splits]
+        assert got == expected
+        assert lam == _select_lambda(grid, expected)
 
     def test_all_candidates_failing_raises(self):
         rng = np.random.default_rng(17)
