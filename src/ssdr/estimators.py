@@ -128,10 +128,23 @@ class EstimateDiagnostics:
     mean_quadratic: float | None = None  # mean' Omega mean, QDA-penalty diagnostic
 
 
+@dataclass(frozen=True)
+class AdmmState:
+    """Where a converged MRY solve stopped, to warm start the next one: the
+    splitting iterate Z, the scaled dual U (the dual is rho * U), the ADMM
+    penalty rho and the lambda of the solve."""
+
+    z: np.ndarray
+    u: np.ndarray
+    rho: float
+    lam: float
+
+
 @dataclass
 class PrecisionEstimate:
     omega: np.ndarray
     diagnostics: EstimateDiagnostics
+    state: AdmmState | None = None  # MRY only: the solver's final state
 
 
 def sample_inverse(cs: ClassSummary) -> PrecisionEstimate:
@@ -313,10 +326,10 @@ def _soft_threshold_offdiag(m: np.ndarray, thr: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^T) / 2 per matrix of a stack, without ``symmetrize``'s copy and
-    finiteness scan; the ADMM loop validates its inputs at entry and guards
-    its residuals."""
-    return (a + a.transpose(0, 2, 1)) / 2.0
+    """(A + A^T) / 2 of a matrix or of each matrix of a stack, without
+    ``symmetrize``'s copy and finiteness scan; the ADMM loop validates its
+    inputs at entry and guards its residuals."""
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def _norms(a: np.ndarray) -> list:
@@ -340,7 +353,7 @@ def _logdet_prox(e: np.ndarray, t: np.ndarray):
 
 
 def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
-        warm_start: np.ndarray | None = None) -> PrecisionEstimate:
+        warm_start=None) -> PrecisionEstimate:
     """Penalized log-determinant precision estimate, solved by ADMM.
 
     Minimizes ``tr(S Omega) - log|Omega| + lambda * |A Omega B - C|_1`` over
@@ -354,7 +367,9 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     rebalanced (x2 / /2) whenever the primal/dual residual ratio exceeds 10.
 
     Accepts singular (PSD) sample covariances, which is what makes the
-    estimator usable when n_i <= p.
+    estimator usable when n_i <= p. ``warm_start`` is a starting Omega, or
+    the ``state`` of an earlier estimate of the same problem to continue
+    from (see mry_batch).
 
     Returns the sparse splitting iterate when it is SPD; otherwise returns
     the SPD proximal iterate and sets diagnostics.repaired. This is
@@ -367,8 +382,10 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     return fit
 
 
-def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start):
-    """(S, B, L, L^-1, first Z) of one problem; L L' = B B' (qda mode)."""
+def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
+               lam: float):
+    """(S, B, L, L^-1, first Z, first U, first rho) of one problem; L L' =
+    B B' (qda mode)."""
     s = symmetrize(cs.cov)
     p = s.shape[0]
     b = l_fac = l_inv = None
@@ -381,68 +398,90 @@ def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start):
         b = np.column_stack([mean, spec.mry_gamma * np.eye(p)])  # (p, p+1)
         l_fac = spd_cholesky(b @ b.T)
         l_inv = solve_triangular(l_fac, np.eye(p), lower=True)
+    if isinstance(warm_start, AdmmState):
+        m = p if b is None else p + 1
+        if warm_start.z.shape != (m, m) or warm_start.u.shape != (m, m):
+            raise InvalidInputError(
+                f"warm-start state must be {m}x{m} for this problem")
+        # rho * U rescaled by lam / lam_old stays a subgradient of lam |Z|_1
+        return (s, b, l_fac, l_inv, warm_start.z,
+                warm_start.u * (lam / warm_start.lam), warm_start.rho)
     if warm_start is not None:
         omega = symmetrize(np.asarray(warm_start, dtype=float))
     else:
         omega = np.diag(1.0 / np.maximum(np.diag(s), 1e-8))
     z = omega.copy() if b is None else symmetrize(b.T @ omega @ b)
-    return s, b, l_fac, l_inv, z
+    return s, b, l_fac, l_inv, z, np.zeros_like(z), 1.0
 
 
-def _mry_estimate(cs, spec, setup, z, y, omega, q, d, primal, it):
-    """The estimate of a converged problem; y = rho * U is its dual."""
-    s, b, l_fac, _, _ = setup
+def _mry_estimate(cs, spec, lam, setup, z, u, rho, omega, q, d, primal, it):
+    """The estimate of a converged problem; rho * u is its dual."""
+    s, b, l_fac = setup[:3]
     # Omega^-1 (Theta^-1 in qda mode) from the last proximal step
-    omega_inv = symmetrize((q / d) @ q.T)
-    coefs = {"lambda": float(spec.mry_lambda)}
+    omega_inv = _symmetric_part((q / d) @ q.T)
+    coefs = {"lambda": lam}
+    y = rho * u
     if b is not None:
-        omega_inv = symmetrize(l_fac @ omega_inv @ l_fac.T)
+        omega_inv = _symmetric_part(l_fac @ omega_inv @ l_fac.T)
         y = b @ y @ b.T
         coefs["gamma"] = float(spec.mry_gamma)
     # KKT stationarity with the converged (unscaled) dual rho * U; the
     # Z-step makes rho * U an exact subgradient of lambda * |Z|_1.
     kkt = max(float(np.max(np.abs(s - omega_inv + y))), primal)
-    out = symmetrize(z if b is None else omega)
+    out = _symmetric_part(z if b is None else omega)
     repaired = bool(b is None and np.linalg.eigvalsh(out)[0] <= 0)
     if repaired:
-        out = symmetrize(omega)
+        out = _symmetric_part(omega)
     return PrecisionEstimate(omega=out, diagnostics=EstimateDiagnostics(
         iterations=it, kkt_residual=kkt, shrinkage_coefficients=coefs,
-        repaired=repaired, mean_quadratic=float(cs.mean @ out @ cs.mean)))
+        repaired=repaired, mean_quadratic=float(cs.mean @ out @ cs.mean)),
+        state=AdmmState(z=z.copy(), u=u.copy(), rho=rho, lam=lam))
 
 
-def mry_batch(summaries, spec: PrecisionEstimatorSpec,
-              warm_starts=None) -> list:
-    """``mry`` on problems of one dimension at one spec, as one ADMM over a
-    (B, p, p) stack; ``warm_starts`` gives each problem a starting Omega.
+def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
+              lambdas=None) -> list:
+    """``mry`` on problems of one dimension, as one ADMM over a (B, p, p)
+    stack. ``warm_starts`` gives each problem a starting Omega or the
+    ``state`` of an earlier estimate; ``lambdas`` gives each its own penalty
+    (default: ``spec.mry_lambda`` for all).
 
-    Inputs are validated once at entry. Each problem keeps its own rho and
-    residuals and leaves the stack once it converges or fails, so its outcome
-    is bit for bit its solo one. Returns per problem its PrecisionEstimate or
-    the typed error that ended it; errors, raised or returned, name a class.
+    A state resumes that solve's Z, rho and dual, the dual rescaled by
+    lambda_new / lambda_old so it stays a subgradient of the new penalty:
+    along a penalty path each solve then starts near its neighbour's end.
+    Inputs are validated once at entry. Each problem keeps its own penalty,
+    rho and residuals and leaves the stack once it converges or fails, so
+    its outcome is bit for bit its solo one. Returns per problem its
+    PrecisionEstimate, final state included, or the typed error that ended
+    it; errors, raised or returned, name a class.
     """
     if spec.kind != "mry":
         raise InvalidInputError(f"spec.kind must be 'mry', got {spec.kind!r}")
-    lam = float(spec.mry_lambda)  # > 0, checked by the spec
+    if lambdas is None:
+        lambdas = [spec.mry_lambda] * len(summaries)
     tol = float(spec.admm_tol)
     max_iters = int(spec.admm_max_iters)
     simple = spec.mry_penalty == "simple"
-    setups = []
-    for cs, warm in zip(summaries, warm_starts or [None] * len(summaries),
-                        strict=True):
+    setups, lams = [], []
+    for cs, warm, lam in zip(summaries, warm_starts or [None] * len(summaries),
+                             lambdas, strict=True):
         try:
-            setups.append(_mry_setup(cs, spec, warm))
+            ok, requirement = IS_POSITIVE
+            if not ok(lam):
+                raise InvalidInputError(
+                    f"lambda must be {requirement}, got {lam!r}")
+            lams.append(float(lam))
+            setups.append(_mry_setup(cs, spec, warm, lams[-1]))
         except SsdrError as exc:
             exc.attach_class(cs.class_id)
             raise
     if len({st[4].shape for st in setups}) != 1:
         raise InvalidInputError("mry_batch needs problems of one dimension")
-    s, b, _, l_inv, z = (None if st[0] is None else np.stack(st)
-                         for st in zip(*setups))
-    u = np.zeros_like(z)
+    s, b, _, l_inv, z, u = (None if col[0] is None else np.stack(col)
+                            for col in list(zip(*setups))[:6])
+    rho = [st[6] for st in setups]  # residual balancing adapts each one
+    lam = np.array(lams).reshape(-1, 1, 1)
     outcomes = [None] * len(setups)
     rows = list(range(len(setups)))  # the problem in each row of the stacks
-    rho = [1.0] * len(rows)  # initial ADMM penalty; residual balancing adapts it
 
     for it in range(1, max_iters + 1):
         t = np.array(rho).reshape(-1, 1, 1)
@@ -473,8 +512,8 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec,
                     class_id=cid)
             elif max(pr, du) < tol:
                 outcomes[i] = _mry_estimate(
-                    summaries[i], spec, setups[i], z[j], rho[j] * u[j],
-                    omega[j], q[j], d[j], pr, it)
+                    summaries[i], spec, lams[i], setups[i], z[j], u[j],
+                    rho[j], omega[j], q[j], d[j], pr, it)
             elif it == max_iters:
                 outcomes[i] = ConvergenceError(
                     f"ADMM did not converge in {max_iters} iterations "
@@ -485,14 +524,14 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec,
                 if pr > 10.0 * du and du > 0:
                     rho[j] *= 2.0
                     u[j] /= 2.0
-                elif du > 10.0 * pr and pr > 0:
+                elif du > 10.0 * pr:  # also while the primal is exactly 0
                     rho[j] /= 2.0
                     u[j] *= 2.0
         if not keep:
             break
         if len(keep) < len(rows):  # the finished problems leave the stacks
             rows, rho = [rows[j] for j in keep], [rho[j] for j in keep]
-            s, z, u = s[keep], z[keep], u[keep]
+            s, z, u, lam = s[keep], z[keep], u[keep], lam[keep]
             if not simple:
                 b, l_inv = b[keep], l_inv[keep]
     return outcomes

@@ -1,18 +1,21 @@
 """Monte Carlo and cross-validation benchmarking of the reduction pipelines.
 
 A pipeline is one precision estimator plus a sweep over reduced dimensions.
-For every training/test split, ``_pipeline_cers`` studentizes (if asked),
-tunes the MRY penalty (if asked), builds the discriminant matrix, extracts
-the projection basis once, and records for each r the estimated
-conditional error rate of plain QDA fitted on the projected training data
-and applied to the projected test data. One Cholesky factorization per
-class serves every r of the sweep (see ``_sweep_cers``). The full-feature
-QDA error is always recorded as a baseline under the method name
-"qda_full". The Monte Carlo and CV workers both go through these two
-functions, and ``_study_report`` turns their per-unit results into a
-CerReport. Penalty tuning (``tune_lambda``) repeats only the discriminant
-matrix -> SVD -> sweep steps (``_candidate_score``): it fits each candidate
-for every class of every tuning split in one warm-started ``mry_batch``.
+A work unit (a Monte Carlo replicate, or a CV repeat of k folds)
+studentizes each training/test split once if the pipeline asks
+(``_studentized``), tunes the MRY penalty of every training set of the unit
+in one ``tune_lambda`` call if asked (``_fit_specs``), and then, per split,
+``_pipeline_cers`` builds the discriminant matrix, extracts the projection
+basis once, and records for each r the estimated conditional error rate of
+plain QDA fitted on the projected training data and applied to the
+projected test data. One Cholesky factorization per class serves every r of
+the sweep (see ``_sweep_cers``). The full-feature QDA error is always
+recorded as a baseline under the method name "qda_full"; ``_study_report``
+turns the per-unit results into a CerReport. Penalty tuning solves
+candidate k of every training set as one ``mry_batch`` over every (set,
+split, class) problem, each solve resuming the final ADMM state of its
+solve at the previous candidate, and repeats only the discriminant matrix
+-> SVD -> sweep steps per candidate (``_candidate_score``).
 
 Reproducibility contract: every work unit (replicate, repeat, tuning split)
 derives its RNG stream from the master seed and the unit index via
@@ -282,23 +285,43 @@ def _sweep_cers(train: LabeledDataset, test: LabeledDataset,
     return {r: float(misses[r - 1] / test.n) if r <= q else None for r in dims}
 
 
-def _pipeline_cers(train: LabeledDataset, test: LabeledDataset,
-                   pipeline: PipelineSpec, dims, rng,
-                   inner_folds: int | None = None) -> dict:
-    """One pipeline's error per r in dims on one training/test split.
-
-    Studentizes the split when the pipeline asks for it, tunes the MRY
-    penalty on the training part (``rng`` and ``inner_folds`` as in
-    tune_lambda), builds the discriminant matrix, and sweeps its basis. Any
-    failure leaves every r of the split missing.
-    """
+def _studentized(train: LabeledDataset, test: LabeledDataset,
+                 pipeline: PipelineSpec):
+    """The split as ``pipeline`` sees it: studentized on the training part
+    when it asks, None when the training part cannot be studentized."""
+    if not pipeline.standardize:
+        return train, test
     try:
-        if pipeline.standardize:
-            train, test = standardize(train, test)
-        spec = pipeline.estimator
-        if spec.kind == "mry" and pipeline.tune_mry_lambda:
-            spec = spec.with_lambda(
-                tune_lambda(train, pipeline, rng, inner_folds))
+        return standardize(train, test)
+    except SsdrError:
+        return None
+
+
+def _fit_specs(trains, pipeline: PipelineSpec, rngs,
+               inner_folds: int | None = None) -> list:
+    """The estimator spec each training set is fitted with: the pipeline's,
+    or for a tuning MRY pipeline its spec at the set's tuned penalty (one
+    tune_lambda call for every set), or the error that ended the tuning."""
+    spec = pipeline.estimator
+    if not (spec.kind == "mry" and pipeline.tune_mry_lambda):
+        return [spec] * len(trains)
+    try:
+        tuned = tune_lambda(trains, pipeline, rngs, inner_folds)
+    except SsdrError as exc:  # a set-up error shared by every set
+        tuned = [exc] * len(trains)
+    return [lam if isinstance(lam, SsdrError) else spec.with_lambda(lam)
+            for lam in tuned]
+
+
+def _pipeline_cers(train: LabeledDataset, test: LabeledDataset, spec,
+                   dims) -> dict:
+    """One pipeline's error per r in dims on one split, studentized already
+    if the pipeline asks: fit ``spec``'s class precisions, build the
+    discriminant matrix and sweep its basis. ``spec`` may be the error that
+    ended the split's tuning; any failure leaves every r missing."""
+    if isinstance(spec, SsdrError):
+        return dict.fromkeys(dims)
+    try:
         u_full, _, _ = svd_full(build_discriminant_matrix(summarize(train), spec))
         return _sweep_cers(train, test, u_full, dims)
     except SsdrError:
@@ -375,73 +398,104 @@ def _candidate_score(sub: LabeledDataset, val: LabeledDataset, summaries,
     return min(vals) if vals else None
 
 
-def tune_lambda(train: LabeledDataset, pipeline: PipelineSpec,
-                rng: np.random.Generator,
-                inner_folds: int | None = None) -> float:
-    """Select the MRY penalty by validation error over ``lambda_grid``.
+class _TuningSplit:
+    """One training/validation split of a set being tuned."""
 
-    With ``inner_folds`` None, each candidate is fitted on a per-class
-    training split and scored by its best-over-r error on the held-out
-    rest; otherwise that error is averaged over ``inner_folds`` stratified
-    folds. ``rng`` draws the split. Candidates run from the largest penalty
-    down, each as one ``mry_batch`` over every (split, class) problem, warm
-    started from the previous candidate's fits, as if each split's classes
-    were fitted in order: a failed class drops the candidate for its split,
-    and it and the classes after it keep their warm start. Ties (and flat
-    profiles) resolve toward the largest penalty, i.e. the sparsest
-    estimate. Raises TuningError when every candidate fails.
-    """
-    if pipeline.estimator.kind != "mry":
-        raise InvalidInputError("lambda tuning applies to MRY pipelines only")
+    def __init__(self, sub: LabeledDataset, val: LabeledDataset):
+        self.sub, self.val = sub, val
+        self.summaries = summarize(sub)
+        self.warm = [None] * len(self.summaries)  # each class's next start
+        self.scores = {}  # candidate -> best-over-r error, None if it failed
+
+
+def _tuning_set(train: LabeledDataset, pipeline: PipelineSpec,
+                rng: np.random.Generator, inner_folds: int | None):
+    """(dims, ascending grid, tuning splits) of one training set."""
     dims = pipeline.resolved_dims(train.p)
     grid = lambda_grid(summarize(train), pipeline.lambda_grid_size,
                        pipeline.lambda_c_lo, pipeline.lambda_c_hi)
-
     if inner_folds is None:
-        splits = [_holdout_split(train, rng)]
+        splits = [_TuningSplit(*_holdout_split(train, rng))]
     else:
         fold_ids = _stratified_fold_ids(train.labels, inner_folds, rng)
-        splits = [
-            (train.subset(fold_ids != f), train.subset(fold_ids == f))
-            for f in range(inner_folds)
-        ]
+        splits = [_TuningSplit(train.subset(fold_ids != f),
+                               train.subset(fold_ids == f))
+                  for f in range(inner_folds)]
+    return dims, grid, splits
 
-    base = replace(
-        pipeline.estimator,
-        admm_tol=max(pipeline.estimator.admm_tol, _TUNING_ADMM_TOL),
-        admm_max_iters=min(pipeline.estimator.admm_max_iters,
-                           _TUNING_ADMM_MAX_ITERS),
-    )
-    summaries = [summarize(sub) for sub, _ in splits]
-    warm = [[None] * len(split) for split in summaries]
-    per_split = [{} for _ in splits]
-    for lam in sorted(grid, reverse=True):
-        fits = mry_batch([cs for split in summaries for cs in split],
-                         base.with_lambda(lam), sum(warm, []))
-        for (sub, val), split, w, scores in zip(splits, summaries, warm,
-                                                per_split):
-            omegas = []
-            for c, fit in enumerate(fits[:len(split)]):
-                if isinstance(fit, SsdrError):
-                    break
-                w[c] = fit.omega
-                omegas.append(fit.omega)
-            fits = fits[len(split):]
-            scores[float(lam)] = (
-                _candidate_score(sub, val, split, omegas, dims)
-                if len(omegas) == len(split) else None)
 
+def _selected_lambda(grid, splits):
+    """The candidate of least mean score over the splits, or TuningError
+    when no candidate scored on every split. Ties (and flat profiles)
+    resolve toward the largest penalty, i.e. the sparsest estimate."""
     best_lam, best_score = None, np.inf
     for lam in grid:  # ascending; <= prefers larger lambda on ties
-        vals = [s[float(lam)] for s in per_split]
+        vals = [sp.scores[float(lam)] for sp in splits]
         if any(v is None for v in vals):
             continue
         score = float(np.mean(vals))
         if score <= best_score:
             best_lam, best_score = float(lam), score
     if best_lam is None:
-        raise TuningError("every penalty candidate failed estimation")
+        return TuningError("every penalty candidate failed estimation")
     return best_lam
+
+
+def tune_lambda(trains, pipeline: PipelineSpec, rngs,
+                inner_folds: int | None = None) -> list:
+    """Select the MRY penalty of each training set by validation error over
+    its ``lambda_grid``.
+
+    With ``inner_folds`` None, each candidate is fitted on a per-class
+    training split of the set and scored by its best-over-r error on the
+    held-out rest; otherwise that error is averaged over ``inner_folds``
+    stratified folds. The set's generator in ``rngs`` draws its split, so
+    each set is tuned as if alone. Candidates run from the largest penalty
+    down, and candidate k of every set is one ``mry_batch`` over every
+    (set, split, class) problem. Each class's solve starts from the final
+    ADMM state of its solve at the previous candidate, as if each split's
+    classes were fitted in order: a failed class drops the candidate for
+    its split, and it and the classes after it keep their previous state.
+
+    Returns per set its penalty, or the typed error that ended its tuning
+    (StratificationError when its folds cannot be drawn, TuningError when
+    every candidate failed), so one set cannot fail another.
+    """
+    if pipeline.estimator.kind != "mry":
+        raise InvalidInputError("lambda tuning applies to MRY pipelines only")
+    base = replace(
+        pipeline.estimator,
+        admm_tol=max(pipeline.estimator.admm_tol, _TUNING_ADMM_TOL),
+        admm_max_iters=min(pipeline.estimator.admm_max_iters,
+                           _TUNING_ADMM_MAX_ITERS),
+    )
+    sets = []
+    for train, rng in zip(trains, rngs, strict=True):
+        try:
+            sets.append(_tuning_set(train, pipeline, rng, inner_folds))
+        except SsdrError as exc:
+            sets.append(exc)
+    live = [ts for ts in sets if not isinstance(ts, SsdrError)]
+    for k in range(max((grid.size for _, grid, _ in live), default=0)):
+        jobs = [(dims, float(grid[-1 - k]), sp) for dims, grid, splits in live
+                if k < grid.size for sp in splits]
+        fits = mry_batch(
+            [cs for _, _, sp in jobs for cs in sp.summaries], base,
+            [w for _, _, sp in jobs for w in sp.warm],
+            [lam for _, lam, sp in jobs for _ in sp.summaries])
+        for dims, lam, sp in jobs:
+            omegas = []
+            for c, fit in enumerate(fits[:len(sp.summaries)]):
+                if isinstance(fit, SsdrError):
+                    break
+                sp.warm[c] = fit.state
+                omegas.append(fit.omega)
+            fits = fits[len(sp.summaries):]
+            sp.scores[lam] = (
+                _candidate_score(sp.sub, sp.val, sp.summaries, omegas, dims)
+                if len(omegas) == len(sp.summaries) else None)
+    return [ts if isinstance(ts, SsdrError) else _selected_lambda(*ts[1:])
+            for ts in sets]
 
 
 def _mc_replicate_worker(args) -> dict:
@@ -467,11 +521,15 @@ def _mc_replicate_worker(args) -> dict:
     out = {("qda_full", None): _full_qda_cer(train, test)}
     for idx, pl in enumerate(pipelines):
         dims = pl.resolved_dims(cfg.p)
-        pl_rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.master_seed,
-                                   spawn_key=(_NS_REPLICATE, j, idx))
-        )
-        cers = _pipeline_cers(train, test, pl, dims, pl_rng)
+        split = _studentized(train, test, pl)
+        cers = dict.fromkeys(dims)
+        if split is not None:
+            pl_rng = np.random.default_rng(
+                np.random.SeedSequence(cfg.master_seed,
+                                       spawn_key=(_NS_REPLICATE, j, idx))
+            )
+            spec, = _fit_specs([split[0]], pl, [pl_rng])
+            cers = _pipeline_cers(*split, spec, dims)
         out.update(((pl.name, r), cers[r]) for r in dims)
     return out
 
@@ -543,26 +601,25 @@ def _cv_repeat_worker(args) -> dict:
         np.random.SeedSequence(seed, spawn_key=(_NS_CV_REPEAT, t))
     )
     fold_ids = _stratified_fold_ids(ds.labels, folds, rng)
+    splits = [_studentized(ds.subset(fold_ids != f), ds.subset(fold_ids == f),
+                           pipeline) for f in range(folds)]
+    usable = [f for f in range(folds) if splits[f] is not None]
+    specs = dict(zip(usable, _fit_specs(
+        [splits[f][0] for f in usable], pipeline,
+        [np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(_NS_CV_REPEAT, t, f))) for f in usable],
+        inner_folds)))
     keys = [("qda_full", None)] + [(pipeline.name, r) for r in dims]
     fold_cers = {key: [] for key in keys}
-    for f in range(folds):
-        train = ds.subset(fold_ids != f)
-        test = ds.subset(fold_ids == f)
-        fold_rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(_NS_CV_REPEAT, t, f))
-        )
-        # the pipeline studentizes the raw fold itself
-        cers = _pipeline_cers(train, test, pipeline, dims, fold_rng,
-                              inner_folds)
+    for f, split in enumerate(splits):
+        if split is None:  # a training fold that cannot be studentized
+            cers, full = dict.fromkeys(dims), None
+        else:
+            cers = _pipeline_cers(*split, specs[f], dims)
+            # unlike the Monte Carlo baseline, qda_full sees the studentized fold
+            full = _full_qda_cer(*split)
         for r in dims:
             fold_cers[(pipeline.name, r)].append(cers[r])
-        # unlike the Monte Carlo baseline, qda_full sees the studentized fold
-        try:
-            if pipeline.standardize:
-                train, test = standardize(train, test)
-            full = _full_qda_cer(train, test)
-        except SsdrError:  # a training fold that cannot be studentized
-            full = None
         fold_cers[("qda_full", None)].append(full)
     out = {}
     for key, vals in fold_cers.items():

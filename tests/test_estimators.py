@@ -294,6 +294,17 @@ class TestMry:
         with pytest.raises(InvalidInputError):
             PrecisionEstimatorSpec(kind="mry", mry_lambda=0.0)
 
+    def test_rho_is_lowered_while_the_primal_residual_is_zero(self):
+        # the primal residual of this solve is exactly 0 on most iterations
+        # while the dual decays slowly: residual balancing must still lower
+        # rho, or the solve crawls (over 20,000 iterations at c = 1, 470 at
+        # c = 8) where it takes a few dozen
+        s = np.array([[0.5295, 0.0340], [0.0340, 0.0024]])
+        for c in (1.0, 8.0):
+            spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=c * 0.015625)
+            out = mry(cs_from(c * s, n=5), spec)
+            assert out.diagnostics.iterations <= 50
+
     def test_warm_start_consistent(self):
         rng = np.random.default_rng(10)
         s = random_spd(rng, 5)
@@ -313,49 +324,79 @@ def _solo(cs, spec, warm_start=None):
 
 
 def _outcome(fit):
-    """Everything a solve reports, compared bit for bit."""
+    """Everything a solve reports, its final state included, bit for bit."""
     if isinstance(fit, PrecisionEstimate):
-        d = fit.diagnostics
+        d, state = fit.diagnostics, fit.state
         return ("fit", fit.omega.tobytes(), d.iterations, d.kkt_residual,
-                d.repaired, d.mean_quadratic, d.shrinkage_coefficients)
+                d.repaired, d.mean_quadratic, d.shrinkage_coefficients,
+                state.z.tobytes(), state.u.tobytes(), state.rho, state.lam)
     return (type(fit), str(fit), fit.class_id, getattr(fit, "iterations", None),
             getattr(fit, "primal", None), getattr(fit, "dual", None))
 
 
 @st.composite
 def mry_batches(draw):
-    """Problems of one dimension with class ids, some warm started, some
-    with n_i <= p (singular S, slow to converge)."""
+    """A penalty and problems of one dimension with class ids, each with its
+    own lambda; some warm started from an Omega, some from the state of a
+    solve at another lambda, some with n_i <= p (singular S, slow to
+    converge)."""
     p = draw(st.integers(2, 6))
+    penalty = draw(st.sampled_from(["simple", "qda"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    problems, warm_starts = [], []
+    problems, warm_starts, lambdas = [], [], []
     for c in range(draw(st.integers(2, 5))):
         n = draw(st.sampled_from([2, p, 3 * p + 10]))
         x = rng.normal(size=(n, p)) * rng.uniform(0.3, 3.0, size=p)
         cov = np.cov(x, rowvar=False, bias=True)
-        problems.append(cs_from(cov, n=n, class_id=c,
-                                mean=x.mean(axis=0) + rng.normal(size=p)))
-        warm_starts.append(np.linalg.inv(cov + np.eye(p))
-                           if draw(st.booleans()) else None)
-    return problems, warm_starts
+        cs = cs_from(cov, n=n, class_id=c,
+                     mean=x.mean(axis=0) + rng.normal(size=p))
+        warm = draw(st.sampled_from(["cold", "omega", "state"]))
+        if warm == "omega":
+            warm = np.linalg.inv(cov + np.eye(p))
+        elif warm == "state":
+            earlier = _solo(cs, PrecisionEstimatorSpec(
+                kind="mry", mry_penalty=penalty, admm_tol=1e-4,
+                mry_lambda=draw(st.floats(0.01, 0.5)), admm_max_iters=1000))
+            warm = getattr(earlier, "state", None)
+        else:
+            warm = None
+        problems.append(cs)
+        warm_starts.append(warm)
+        lambdas.append(draw(st.floats(0.01, 0.5)))
+    return penalty, problems, warm_starts, lambdas
 
 
 class TestMryBatch:
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(mry_batches(), st.sampled_from(["simple", "qda"]),
-           st.floats(0.01, 0.5), st.integers(5, 80))
-    def test_each_problem_matches_its_solo_solve(self, batch, penalty, lam,
-                                                 max_iters):
-        problems, warm_starts = batch
-        spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=lam,
-                                      mry_penalty=penalty,
+    @given(mry_batches(), st.integers(5, 80))
+    def test_each_problem_matches_its_solo_solve(self, batch, max_iters):
+        penalty, problems, warm_starts, lambdas = batch
+        spec = PrecisionEstimatorSpec(kind="mry", mry_penalty=penalty,
                                       admm_max_iters=max_iters)
-        fits = mry_batch(problems, spec, warm_starts)
-        solos = [_solo(cs, spec, w) for cs, w in zip(problems, warm_starts)]
+        fits = mry_batch(problems, spec, warm_starts, lambdas)
+        solos = [_solo(cs, spec.with_lambda(lam), w)
+                 for cs, w, lam in zip(problems, warm_starts, lambdas)]
         # a mix: some problems converge within the budget, some are capped
         assume(any(isinstance(f, PrecisionEstimate) for f in solos))
         assume(any(isinstance(f, ConvergenceError) for f in solos))
         assert [_outcome(f) for f in fits] == [_outcome(f) for f in solos]
+
+    @pytest.mark.parametrize("penalty", ["simple", "qda"])
+    def test_restart_from_its_own_state_converges_at_once(self, penalty):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            p = int(rng.integers(2, 7))
+            n = int(rng.choice([p, 3 * p + 10]))
+            x = rng.normal(size=(n, p)) * rng.uniform(0.3, 3.0, size=p)
+            cs = cs_from(np.cov(x, rowvar=False, bias=True), n=n,
+                         mean=x.mean(axis=0) + rng.normal(size=p))
+            spec = PrecisionEstimatorSpec(
+                kind="mry", mry_penalty=penalty,
+                mry_lambda=float(rng.uniform(0.01, 0.5)))
+            first = mry(cs, spec)
+            again = mry(cs, spec, warm_start=first.state)
+            assert again.diagnostics.iterations == 1
+            assert again.state.rho == first.state.rho
 
     def test_residual_norms_match_linalg_norm(self):
         # residuals decide where a solve stops; summed in another order they
@@ -407,6 +448,20 @@ class TestMryBatch:
         with pytest.raises(InvalidInputError) as info:
             mry_batch(problems, capped, [None, np.full((3, 3), np.nan)])
         assert info.value.class_id == 7
+
+    def test_bad_lambda_or_state_names_its_class(self):
+        rng = np.random.default_rng(17)
+        problems = [cs_from(random_spd(rng, 3), n=20, class_id=c)
+                    for c in (2, 5)]
+        spec = PrecisionEstimatorSpec(kind="mry")
+        for lam in (0.0, np.nan, -1.0):
+            with pytest.raises(InvalidInputError) as info:
+                mry_batch(problems, spec, None, [0.1, lam])
+            assert info.value.class_id == 5
+        other = mry(cs_from(random_spd(rng, 4), n=20), spec).state
+        with pytest.raises(InvalidInputError) as info:
+            mry_batch(problems, spec, [other, None])
+        assert info.value.class_id == 2
 
     def test_problems_must_share_a_dimension(self):
         rng = np.random.default_rng(15)

@@ -46,9 +46,9 @@ def _nan_prox(e, t):
 def _serial_grid_scores(sub, val, pipeline, grid, failures):
     """Reference for tuning on one split: candidates from the largest
     penalty down, classes fitted one at a time by ``mry``, each warm started
-    from its last fit; a failed class ends its candidate, and the classes
-    after it are not fitted at that penalty. Appends (lambda, class id) of
-    each failure to ``failures``."""
+    from the final ADMM state of its last fit; a failed class ends its
+    candidate, and the classes after it are not fitted at that penalty.
+    Appends (lambda, class id) of each failure to ``failures``."""
     summaries = summarize(sub)
     warm = {cs.class_id: None for cs in summaries}
     base = replace(
@@ -67,7 +67,7 @@ def _serial_grid_scores(sub, val, pipeline, grid, failures):
             except SsdrError:
                 failures.append((float(lam), cs.class_id))
                 break
-            warm[cs.class_id] = fitted.omega
+            warm[cs.class_id] = fitted.state
             omegas.append(fitted.omega)
         else:
             try:
@@ -91,6 +91,15 @@ def _select_lambda(grid, per_split):
         if all(v is not None for v in vals) and np.mean(vals) <= best_score:
             best_lam, best_score = float(lam), float(np.mean(vals))
     return best_lam
+
+
+def _tune_one(ds, pipeline, rng, inner_folds=None):
+    """``tune_lambda`` on one training set: its penalty, or its error
+    raised."""
+    lam, = tune_lambda([ds], pipeline, [rng], inner_folds)
+    if isinstance(lam, SsdrError):
+        raise lam
+    return lam
 
 
 def blobs(rng, n_per=40, p=3, k=2, spread=8.0):
@@ -190,6 +199,18 @@ class TestRunMcStudy:
         assert rep.cell("qda_full", None).failures == 0
         assert rep.has_failures()
 
+    def test_tuning_set_up_failure_recorded_not_fatal(self):
+        # gamma^2 underflows, so B B' = mu mu' is singular and every tuning
+        # solve fails at set-up, for every training set of the call at once
+        cfg = simulation_config(1, "p+1", replicates=2, master_seed=7,
+                                pool_size=200)
+        pl = PipelineSpec(name="m", dims=(1, 2),
+                          estimator=PrecisionEstimatorSpec(
+                              kind="mry", mry_penalty="qda", mry_gamma=1e-200))
+        rep = run_mc_study(cfg, [pl], threads=1)
+        assert rep.cell("m", 1).failures == 2
+        assert rep.cell("qda_full", None).failures == 0
+
     def test_bayes_oracle_with_large_training_set(self):
         cfg = simulation_config(1, 2000, replicates=3, master_seed=8)
         rep = run_mc_study(cfg, [], threads=1)
@@ -271,6 +292,32 @@ class TestRepeatedKfoldCv:
                                 jitter_sigma=1e-5)
         assert rep.metadata["jitter_sigma"] == 1e-5
         assert isinstance(rep.metadata["jitter_seed"], int)
+
+    def test_repeat_studentizes_each_fold_once_and_tunes_all_together(
+            self, monkeypatch):
+        # one studentization per fold serves the pipeline and qda_full; one
+        # tune_lambda call serves every training fold of the repeat
+        standardize, tune = experiments.standardize, experiments.tune_lambda
+        studentized, tuned = [], []
+
+        def counting_standardize(train, test):
+            studentized.append(train.n)
+            return standardize(train, test)
+
+        def counting_tune(trains, *args):
+            tuned.append(len(trains))
+            return tune(trains, *args)
+
+        monkeypatch.setattr(experiments, "standardize", counting_standardize)
+        monkeypatch.setattr(experiments, "tune_lambda", counting_tune)
+        ds = blobs(np.random.default_rng(14), n_per=30, p=3, spread=3.0)
+        pl = PipelineSpec(name="m", dims=(1, 2), standardize=True,
+                          estimator=PrecisionEstimatorSpec(kind="mry"),
+                          lambda_grid_size=3)
+        rep = repeated_kfold_cv(ds, pl, folds=4, repeats=1, seed=6,
+                                threads=1, inner_folds=3)
+        assert len(studentized) == 4 and tuned == [4]
+        assert rep.cell("m", 1).rates and rep.cell("qda_full", None).rates
 
     def test_rotation_invariance_at_full_dimension(self):
         rng = np.random.default_rng(13)
@@ -418,7 +465,7 @@ class TestTuneLambda:
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
             dims=(1,), lambda_grid_size=2, lambda_c_lo=1.0, lambda_c_hi=1e-6)
         # inverted bounds collapse the grid to one candidate
-        lam = tune_lambda(ds, pl, np.random.default_rng(0))
+        lam = _tune_one(ds, pl, np.random.default_rng(0))
         grid = lambda_grid(summarize(ds), 2, 1.0, 1e-6)
         assert grid.size == 1
         assert lam == pytest.approx(float(grid[0]))
@@ -431,7 +478,7 @@ class TestTuneLambda:
             name="m",
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
             dims=(1, 2), lambda_grid_size=5)
-        lam = tune_lambda(ds, pl, np.random.default_rng(1))
+        lam = _tune_one(ds, pl, np.random.default_rng(1))
         grid = lambda_grid(summarize(ds), 5)
         assert lam == pytest.approx(float(grid[-1]))
 
@@ -447,31 +494,33 @@ class TestTuneLambda:
         grid = lambda_grid(summarize(ds), 5)
         poisoned = []
 
-        def batch_poisoning_top(summaries, spec, warm_starts=None):
-            top = spec.mry_lambda == pytest.approx(float(grid[-1]))
+        def batch_poisoning_top(summaries, spec, warm_starts, lambdas):
+            top = lambdas[0] == pytest.approx(float(grid[-1]))
             monkeypatch.setattr(estimators, "_logdet_prox",
                                 _nan_prox if top else _LOGDET_PROX)
-            fits = estimators.mry_batch(summaries, spec, warm_starts)
-            poisoned.extend(spec.mry_lambda for fit in fits
+            fits = estimators.mry_batch(summaries, spec, warm_starts, lambdas)
+            poisoned.extend(lam for lam, fit in zip(lambdas, fits)
                             if isinstance(fit, SsdrError))
             return fits
 
         monkeypatch.setattr(experiments, "mry_batch", batch_poisoning_top)
-        lam = tune_lambda(ds, pl, np.random.default_rng(1))
+        lam = _tune_one(ds, pl, np.random.default_rng(1))
         assert poisoned
         assert lam == pytest.approx(float(grid[-2]))
 
     @pytest.mark.parametrize("penalty, seed", [("simple", 1), ("qda", 0)])
     def test_batched_solves_keep_the_serial_warm_start_chain(
             self, monkeypatch, penalty, seed):
-        # a 50-iteration budget makes some classes fail partway down the
-        # grid, classes before the last among them
+        # a small budget makes some classes fail partway down the grid,
+        # classes before the last among them; warm-started simple-penalty
+        # solves need a smaller one than qda-penalty solves
         ds = blobs(np.random.default_rng(seed), n_per=14, p=4, k=3,
                    spread=2.0)
+        max_iters = {"simple": 20, "qda": 50}[penalty]
         pl = PipelineSpec(
             name="m", dims=(1, 2, 3, 4), lambda_grid_size=6,
             estimator=PrecisionEstimatorSpec(kind="mry", mry_penalty=penalty,
-                                             admm_max_iters=50))
+                                             admm_max_iters=max_iters))
         grid = lambda_grid(summarize(ds), 6)
         fold_ids = _stratified_fold_ids(ds.labels, 3,
                                         np.random.default_rng(0))
@@ -487,9 +536,9 @@ class TestTuneLambda:
         seen, lams = {}, []
         batch, score = experiments.mry_batch, experiments._candidate_score
 
-        def spy_batch(summaries, spec, warm_starts=None):
-            lams.append(spec.mry_lambda)
-            return batch(summaries, spec, warm_starts)
+        def spy_batch(summaries, spec, warm_starts, lambdas):
+            lams.append(lambdas[0])
+            return batch(summaries, spec, warm_starts, lambdas)
 
         def spy_score(sub, val, *args):
             seen[lams[-1], val.features.tobytes()] = score(sub, val, *args)
@@ -497,11 +546,60 @@ class TestTuneLambda:
 
         monkeypatch.setattr(experiments, "mry_batch", spy_batch)
         monkeypatch.setattr(experiments, "_candidate_score", spy_score)
-        lam = tune_lambda(ds, pl, np.random.default_rng(0), inner_folds=3)
+        lam = _tune_one(ds, pl, np.random.default_rng(0), inner_folds=3)
         got = [{float(g): seen.get((float(g), val.features.tobytes()))
                 for g in grid} for _, val in splits]
         assert got == expected
         assert lam == _select_lambda(grid, expected)
+
+    def test_each_set_is_tuned_as_if_alone(self, monkeypatch):
+        # one call over several training sets gives each the penalty, the
+        # candidate fits and the scores of its own call, bit for bit, or its
+        # own error: here one set has a one-point grid and one a class too
+        # small for its inner folds
+        rng = np.random.default_rng(20)
+        ds = blobs(rng, n_per=30, p=3, k=3, spread=2.5)
+        fold_ids = _stratified_fold_ids(ds.labels, 4, rng)
+        trains = [ds.subset(fold_ids != f) for f in range(4)]
+        keep = (ds.labels != 2) | (np.cumsum(ds.labels == 2) <= 2)
+        trains.insert(2, ds.subset(keep))  # class 2 has 2 rows
+        pl = PipelineSpec(
+            name="m", dims=(1, 2, 3), lambda_grid_size=5,
+            estimator=PrecisionEstimatorSpec(kind="mry", admm_max_iters=40))
+        one_point = summarize(trains[1])[0].mean.tobytes()
+        grid_of, score = experiments.lambda_grid, experiments._candidate_score
+        seen = {}
+
+        def grid(summaries, *args):
+            full = grid_of(summaries, *args)
+            return full[-1:] if summaries[0].mean.tobytes() == one_point \
+                else full
+
+        def spy_score(sub, val, summaries, omegas, dims):
+            out = score(sub, val, summaries, omegas, dims)
+            seen.setdefault(val.features.tobytes(), []).append(
+                (out, [o.tobytes() for o in omegas]))
+            return out
+
+        def outcome(lam):
+            return (type(lam), str(lam)) if isinstance(lam, SsdrError) else lam
+
+        monkeypatch.setattr(experiments, "lambda_grid", grid)
+        monkeypatch.setattr(experiments, "_candidate_score", spy_score)
+        together = tune_lambda(
+            trains, pl, [np.random.default_rng(100 + i)
+                         for i in range(len(trains))], inner_folds=3)
+        seen_together, seen = seen, {}
+        alone = [tune_lambda([train], pl, [np.random.default_rng(100 + i)],
+                             inner_folds=3)[0]
+                 for i, train in enumerate(trains)]
+        assert list(map(outcome, together)) == list(map(outcome, alone))
+        assert seen_together == seen
+        assert isinstance(together[2], StratificationError)
+        assert together[1] == float(grid(summarize(trains[1]), 5)[0])
+        assert all(isinstance(together[i], float) for i in (0, 3, 4))
+        assert len(seen) == 4 * 3
+        assert sum(map(len, seen.values())) == 3 * (1 + 3 * 5)
 
     def test_all_candidates_failing_raises(self):
         rng = np.random.default_rng(17)
@@ -513,14 +611,14 @@ class TestTuneLambda:
                                              admm_max_iters=1),
             dims=(1,))  # nothing can converge
         with pytest.raises(TuningError):
-            tune_lambda(ds, pl, np.random.default_rng(2))
+            _tune_one(ds, pl, np.random.default_rng(2))
 
     def test_non_mry_pipeline_rejected(self):
         rng = np.random.default_rng(18)
         ds = blobs(rng)
         pl = PipelineSpec(name="m", estimator=SAMPLE, dims=(1,))
         with pytest.raises(InvalidInputError):
-            tune_lambda(ds, pl, np.random.default_rng(0))
+            tune_lambda([ds], pl, [np.random.default_rng(0)])
 
     def test_cv_mode_runs(self):
         rng = np.random.default_rng(19)
@@ -529,5 +627,5 @@ class TestTuneLambda:
             name="m",
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
             dims=(1, 2, 3), lambda_grid_size=4)
-        lam = tune_lambda(ds, pl, np.random.default_rng(3), inner_folds=3)
+        lam = _tune_one(ds, pl, np.random.default_rng(3), inner_folds=3)
         assert lam > 0

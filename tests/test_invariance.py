@@ -74,10 +74,10 @@ def test_feature_permutation_leaves_every_rate_unchanged(config_id, n_policy,
     perm = list(perm)
     for pl in FIXED_LAMBDA_PIPELINES:
         dims = pl.resolved_dims(cfg.p)
-        base = _pipeline_cers(train, test, pl, dims, None, None)
+        base = _pipeline_cers(train, test, pl.estimator, dims)
         permuted = _pipeline_cers(train.with_features(train.features[:, perm]),
                                   test.with_features(test.features[:, perm]),
-                                  pl, dims, None, None)
+                                  pl.estimator, dims)
         assert permuted == base, pl.name
 
 
