@@ -12,6 +12,7 @@ import argparse
 import csv
 import datetime
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .datamodel import load_csv
 from .errors import SchemaVersionError, SsdrError
-from .estimators import PrecisionEstimatorSpec
+from .estimators import IS_COUNT, PrecisionEstimatorSpec
 from .experiments import (
     PipelineSpec,
     repeated_kfold_cv,
@@ -59,19 +60,27 @@ PIPELINE_KEYS = {
     "dims": "dims",
     "standardize": "standardize",
     "tune": "tune_mry_lambda",
-    "lambda_grid_size": "lambda_grid_size",
-    "lambda_c_lo": "lambda_c_lo",
-    "lambda_c_hi": "lambda_c_hi",
 }
 # The config key that sets each spec field, to name it in errors.
 KEY_OF_FIELD = {field: key
                 for key, field in {**ESTIMATOR_KEYS, **PIPELINE_KEYS}.items()}
+# (test, requirement) of the top-level simulate values that a file or a
+# flag sets; a pipeline entry is checked when it is built
+SIMULATE_RULES = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "config_id": IS_COUNT,
+    "n_policy": (lambda v: isinstance(v, str) or IS_COUNT[0](v),
+                 "a policy name or an integer >= 1"),
+    "replicates": IS_COUNT,
+    "seed": (lambda v: isinstance(v, numbers.Integral)
+             and not isinstance(v, bool) and v >= 0, "an integer >= 0"),
+    "pool_size": IS_COUNT,
+    "pipelines": (lambda v: isinstance(v, list), "a list of pipelines"),
+}
 # Top-level keys of a simulate config file. "command" and "n_i" are
 # recorded in every simulate report's resolved config; a file may carry
 # them so that config re-runs, but they must agree with the run.
-SIMULATE_KEYS = ("schema_version", "command", "name", "config_id",
-                 "n_policy", "n_i", "replicates", "seed", "pool_size",
-                 "pipelines")
+SIMULATE_KEYS = ("schema_version", "command", "n_i", *SIMULATE_RULES)
 
 
 class UsageError(SsdrError):
@@ -103,6 +112,8 @@ def _pipeline_from_dict(d: dict, where: str, p: int) -> PipelineSpec:
     ``where`` names the pipeline in error messages; ``p`` is the run's
     dimension, against which ``dims`` is checked.
     """
+    if not isinstance(d, dict):
+        raise UsageError(f"{where}: must be an object of keys, got {d!r}")
     _reject_unknown_keys(d, {**ESTIMATOR_KEYS, **PIPELINE_KEYS}, where)
     kind = d.get("estimator", "sample")
     if kind not in ESTIMATOR_ALIASES:
@@ -141,6 +152,8 @@ def _load_json_config(path) -> dict:
         raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"{path}: must hold a JSON object of keys")
     version = cfg.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise UsageError(
@@ -194,27 +207,27 @@ def _exit_code(report: CerReport) -> int:
 def cmd_simulate(args) -> int:
     file_cfg = _load_json_config(args.config) if args.config else {}
     _reject_unknown_keys(file_cfg, SIMULATE_KEYS, args.config)
+    flags = {"config_id": args.config_id, "n_policy": args.n_policy,
+             "replicates": args.replicates, "seed": args.seed}
     # flag > file > default
-    config_id = args.config_id if args.config_id is not None \
-        else file_cfg.get("config_id")
-    if config_id is None:
+    run = {"n_policy": "2p", "replicates": 200, "pool_size": 5000,
+           "pipelines": [], **file_cfg,
+           **{key: value for key, value in flags.items() if value is not None}}
+    for key, (ok, requirement) in SIMULATE_RULES.items():
+        if key in run and not ok(run[key]):
+            raise UsageError(f"{key} must be {requirement}, got {run[key]!r}")
+    if "config_id" not in run:
         raise UsageError("config_id is required (flag --config-id or config file)")
-    n_policy = args.n_policy if args.n_policy is not None \
-        else file_cfg.get("n_policy", "2p")
-    replicates = args.replicates if args.replicates is not None \
-        else int(file_cfg.get("replicates", 200))
-    seed = args.seed if args.seed is not None \
-        else file_cfg.get("seed")
-    if seed is None:
-        seed = int.from_bytes(os.urandom(4), "little")
-        print(f"note: no seed given; using master seed {seed}")
-    pool_size = int(file_cfg.get("pool_size", 5000))
-    name = args.name or file_cfg.get("name") or f"cfg{config_id}"
+    if "seed" not in run:
+        run["seed"] = int.from_bytes(os.urandom(4), "little")
+        print(f"note: no seed given; using master seed {run['seed']}")
+    name = args.name or run.get("name") or f"cfg{run['config_id']}"
 
     try:
-        cfg = simulation_config(int(config_id), n_policy,
-                                replicates=int(replicates),
-                                master_seed=int(seed), pool_size=pool_size)
+        cfg = simulation_config(run["config_id"], run["n_policy"],
+                                replicates=run["replicates"],
+                                master_seed=run["seed"],
+                                pool_size=run["pool_size"])
     except SsdrError as exc:
         raise UsageError(f"config_id/n_policy: {exc}") from exc
     for key, value in (("command", "simulate"), ("n_i", cfg.n_i)):
@@ -224,7 +237,7 @@ def cmd_simulate(args) -> int:
 
     pipelines = [
         _pipeline_from_dict(d, f"pipelines[{i}]", cfg.p)
-        for i, d in enumerate(file_cfg.get("pipelines", []))
+        for i, d in enumerate(run["pipelines"])
     ]
     threads = resolve_threads(args.threads)
     report = run_mc_study(cfg, pipelines, threads=threads)
@@ -235,12 +248,12 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "name": name,
         "config_id": cfg.config_id,
-        "n_policy": n_policy,
+        "n_policy": run["n_policy"],
         "n_i": cfg.n_i,
         "replicates": cfg.replicates,
         "seed": cfg.master_seed,
         "pool_size": cfg.pool_size,
-        "pipelines": file_cfg.get("pipelines", []),
+        "pipelines": run["pipelines"],
     }
     report_path, summary_path = _write_report_files(
         report, Path(args.out_dir), name, resolved)

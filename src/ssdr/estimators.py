@@ -367,8 +367,8 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     rebalanced (x2 / /2) whenever the primal/dual residual ratio exceeds 10.
 
     Accepts singular (PSD) sample covariances, which is what makes the
-    estimator usable when n_i <= p. ``warm_start`` is a starting Omega, or
-    the ``state`` of an earlier estimate of the same problem to continue
+    estimator usable when n_i <= p. ``warm_start`` is None (a cold start)
+    or the ``state`` of an earlier estimate of the same problem to continue
     from (see mry_batch).
 
     Returns the sparse splitting iterate when it is SPD; otherwise returns
@@ -386,6 +386,9 @@ def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
                lam: float):
     """(S, B, L, L^-1, first Z, first U, first rho) of one problem; L L' =
     B B' (qda mode)."""
+    if not (warm_start is None or isinstance(warm_start, AdmmState)):
+        raise InvalidInputError("a warm start must be an AdmmState or None, "
+                                f"got {type(warm_start).__name__}")
     s = symmetrize(cs.cov)
     p = s.shape[0]
     b = l_fac = l_inv = None
@@ -398,7 +401,7 @@ def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
         b = np.column_stack([mean, spec.mry_gamma * np.eye(p)])  # (p, p+1)
         l_fac = spd_cholesky(b @ b.T)
         l_inv = solve_triangular(l_fac, np.eye(p), lower=True)
-    if isinstance(warm_start, AdmmState):
+    if warm_start is not None:
         m = p if b is None else p + 1
         if warm_start.z.shape != (m, m) or warm_start.u.shape != (m, m):
             raise InvalidInputError(
@@ -406,10 +409,7 @@ def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
         # rho * U rescaled by lam / lam_old stays a subgradient of lam |Z|_1
         return (s, b, l_fac, l_inv, warm_start.z,
                 warm_start.u * (lam / warm_start.lam), warm_start.rho)
-    if warm_start is not None:
-        omega = symmetrize(np.asarray(warm_start, dtype=float))
-    else:
-        omega = np.diag(1.0 / np.maximum(np.diag(s), 1e-8))
+    omega = np.diag(1.0 / np.maximum(np.diag(s), 1e-8))
     z = omega.copy() if b is None else symmetrize(b.T @ omega @ b)
     return s, b, l_fac, l_inv, z, np.zeros_like(z), 1.0
 
@@ -441,7 +441,7 @@ def _mry_estimate(cs, spec, lam, setup, z, u, rho, omega, q, d, primal, it):
 def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
               lambdas=None) -> list:
     """``mry`` on problems of one dimension, as one ADMM over a (B, p, p)
-    stack. ``warm_starts`` gives each problem a starting Omega or the
+    stack. ``warm_starts`` gives each problem None (a cold start) or the
     ``state`` of an earlier estimate; ``lambdas`` gives each its own penalty
     (default: ``spec.mry_lambda`` for all).
 

@@ -2,16 +2,17 @@
 
 A pipeline is one precision estimator plus a sweep over reduced dimensions.
 A work unit (a Monte Carlo replicate, or a CV repeat of k folds)
-studentizes each training/test split once if the pipeline asks
-(``_studentized``), tunes the MRY penalty of every training set of the unit
-in one ``tune_lambda`` call if asked (``_fit_specs``), and then, per split,
-``_pipeline_cers`` builds the discriminant matrix, extracts the projection
-basis once, and records for each r the estimated conditional error rate of
-plain QDA fitted on the projected training data and applied to the
-projected test data. One Cholesky factorization per class serves every r of
-the sweep (see ``_sweep_cers``). The full-feature QDA error is always
-recorded as a baseline under the method name "qda_full"; ``_study_report``
-turns the per-unit results into a CerReport. Penalty tuning solves
+studentizes each training/test split if the pipeline asks
+(``_studentized``) and hands its splits to ``_split_cers``, the one path
+from splits to rates: it tunes the MRY penalty of every training set of the
+unit in one ``tune_lambda`` call if asked, and then, per split, builds the
+discriminant matrix, extracts the projection basis once, and records for
+each r the estimated conditional error rate of plain QDA fitted on the
+projected training data and applied to the projected test data. One
+Cholesky factorization per class serves every r of the sweep (see
+``_sweep_cers``). The full-feature QDA error is always recorded as a
+baseline under the method name "qda_full"; ``_study_report`` turns the
+per-unit results into a CerReport. Penalty tuning solves
 candidate k of every training set as one ``mry_batch`` over every (set,
 split, class) problem, each solve resuming the final ADMM state of its
 solve at the previous candidate, and repeats only the discriminant matrix
@@ -36,8 +37,6 @@ from .datamodel import LabeledDataset, jitter, standardize, summarize
 from .errors import InvalidInputError, SsdrError, StratificationError, TuningError
 from .estimators import (
     IS_BOOL,
-    IS_COUNT,
-    IS_POSITIVE,
     PrecisionEstimatorSpec,
     check_fields,
     mry,  # noqa: F401 -- not called here; perfbench/tracing.py wraps this name
@@ -69,6 +68,11 @@ _VALIDATION_FRACTION = 0.25
 # always runs at the estimator's own tolerance and budget.
 _TUNING_ADMM_TOL = 1e-4
 _TUNING_ADMM_MAX_ITERS = 1000
+# The tuning grid's size, and its bounds as multiples of its scale (see
+# lambda_grid).
+_LAMBDA_GRID_SIZE = 10
+_LAMBDA_C_LO = 1e-3
+_LAMBDA_C_HI = 1.0
 
 
 @dataclass(frozen=True)
@@ -144,10 +148,8 @@ def simulation_config(config_id: int, n_policy, replicates: int = 200,
         covs = (_CONFIG3_SIGMA.copy(), _CONFIG3_SIGMA.copy(), np.eye(p))
     elif config_id == 4:
         p = 50
-        rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=(_NS_PARAMS,))
-        )
-        mu2 = rng.uniform(0.0, 1.0, size=p)  # drawn once per study
+        # drawn once per study
+        mu2 = _stream(master_seed, _NS_PARAMS).uniform(0.0, 1.0, size=p)
         means = (np.zeros(p), mu2)
         covs = (np.eye(p), np.eye(p) + 2.0 * np.ones((p, p)))
     else:
@@ -180,11 +182,10 @@ class PipelineSpec:
     """One estimator plus the dimension sweep and preprocessing flags.
 
     ``dims`` of None means sweep r = 1..p. For MRY estimators with
-    ``tune_mry_lambda``, the penalty parameter is selected per work unit by
-    grid search over ``lambda_grid_size`` geometric points in
-    [lambda_c_lo * m, lambda_c_hi * m], where m is the largest off-diagonal
-    entry of the class sample covariances in absolute value (see
-    lambda_grid). Invalid values raise InvalidInputError naming the field.
+    ``tune_mry_lambda``, the penalty parameter is selected per training set
+    by grid search over a fixed geometric grid in the units of the sample
+    covariances (see lambda_grid). Invalid values raise InvalidInputError
+    naming the field.
     """
 
     name: str
@@ -192,15 +193,9 @@ class PipelineSpec:
     dims: tuple | None = None
     standardize: bool = False
     tune_mry_lambda: bool = True
-    lambda_grid_size: int = 10
-    lambda_c_lo: float = 1e-3
-    lambda_c_hi: float = 1.0
 
     def __post_init__(self):
-        check_fields(self, {"standardize": IS_BOOL, "tune_mry_lambda": IS_BOOL,
-                            "lambda_grid_size": IS_COUNT,
-                            "lambda_c_lo": IS_POSITIVE,
-                            "lambda_c_hi": IS_POSITIVE})
+        check_fields(self, {"standardize": IS_BOOL, "tune_mry_lambda": IS_BOOL})
 
     def resolved_dims(self, p: int) -> tuple:
         dims = tuple(range(1, p + 1)) if self.dims is None else tuple(self.dims)
@@ -227,6 +222,12 @@ def _mvn_rows(mean: np.ndarray, chol: np.ndarray, n: int,
         return np.empty((0, mean.size))
     z = rng.standard_normal((n, mean.size))
     return mean + z @ chol.T
+
+
+def _stream(seed: int, *spawn_key) -> np.random.Generator:
+    """The RNG stream of one unit, from the master seed and its spawn key."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
 def _full_qda_cer(train: LabeledDataset, test: LabeledDataset) -> float | None:
@@ -297,47 +298,51 @@ def _studentized(train: LabeledDataset, test: LabeledDataset,
         return None
 
 
-def _fit_specs(trains, pipeline: PipelineSpec, rngs,
-               inner_folds: int | None = None) -> list:
-    """The estimator spec each training set is fitted with: the pipeline's,
-    or for a tuning MRY pipeline its spec at the set's tuned penalty (one
-    tune_lambda call for every set), or the error that ended the tuning."""
+def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
+                inner_folds: int | None = None) -> list:
+    """Each split's error per r in dims for one pipeline.
+
+    ``splits`` are a work unit's (train, test) pairs as the pipeline sees
+    them (``_studentized``), None where the training part could not be
+    studentized; ``rngs`` holds one generator per split, which draws the
+    split's tuning splits. A tuning MRY pipeline first tunes the penalty of
+    every usable training set in one ``tune_lambda`` call. Then, per split,
+    the class precisions are fitted, the discriminant matrix is built and
+    its basis swept. A split that is None, whose tuning failed or whose fit
+    failed has every r missing.
+    """
     spec = pipeline.estimator
-    if not (spec.kind == "mry" and pipeline.tune_mry_lambda):
-        return [spec] * len(trains)
-    try:
-        tuned = tune_lambda(trains, pipeline, rngs, inner_folds)
-    except SsdrError as exc:  # a set-up error shared by every set
-        tuned = [exc] * len(trains)
-    return [lam if isinstance(lam, SsdrError) else spec.with_lambda(lam)
-            for lam in tuned]
+    usable = [i for i, split in enumerate(splits) if split is not None]
+    specs = dict.fromkeys(usable, spec)
+    if spec.kind == "mry" and pipeline.tune_mry_lambda:
+        try:
+            tuned = tune_lambda([splits[i][0] for i in usable], pipeline,
+                                [rngs[i] for i in usable], inner_folds)
+        except SsdrError as exc:  # a set-up error shared by every set
+            tuned = [exc] * len(usable)
+        specs = {i: spec.with_lambda(lam) for i, lam in zip(usable, tuned)
+                 if not isinstance(lam, SsdrError)}
+    out = [dict.fromkeys(dims) for _ in splits]
+    for i, fit_spec in specs.items():
+        train, test = splits[i]
+        try:
+            u_full, _, _ = svd_full(
+                build_discriminant_matrix(summarize(train), fit_spec))
+            out[i] = _sweep_cers(train, test, u_full, dims)
+        except SsdrError:
+            pass  # every r stays missing
+    return out
 
 
-def _pipeline_cers(train: LabeledDataset, test: LabeledDataset, spec,
-                   dims) -> dict:
-    """One pipeline's error per r in dims on one split, studentized already
-    if the pipeline asks: fit ``spec``'s class precisions, build the
-    discriminant matrix and sweep its basis. ``spec`` may be the error that
-    ended the split's tuning; any failure leaves every r missing."""
-    if isinstance(spec, SsdrError):
-        return dict.fromkeys(dims)
-    try:
-        u_full, _, _ = svd_full(build_discriminant_matrix(summarize(train), spec))
-        return _sweep_cers(train, test, u_full, dims)
-    except SsdrError:
-        return dict.fromkeys(dims)
-
-
-def lambda_grid(summaries, grid_size: int = 10, c_lo: float = 1e-3,
-                c_hi: float = 1.0) -> np.ndarray:
-    """Geometric penalty grid over [c_lo * m, c_hi * m], in the units of S.
+def lambda_grid(summaries) -> np.ndarray:
+    """Geometric penalty grid of _LAMBDA_GRID_SIZE points over
+    [_LAMBDA_C_LO * m, _LAMBDA_C_HI * m], in the units of S.
 
     m is the largest off-diagonal |S_ij| over the class sample covariances:
     at lambda = m the simple-penalty solution turns diagonal (Friedman,
     Hastie and Tibshirani 2008), so the grid scales with the data, as the
     penalty does. When every S is diagonal (or p = 1), m falls back to the
-    largest diagonal entry. Inverted bounds give the single candidate
-    c_hi * m.
+    largest diagonal entry.
     """
     covs = [np.asarray(cs.cov) for cs in summaries]
     scale = max(float(np.max(np.abs(c - np.diag(np.diag(c))))) for c in covs)
@@ -345,10 +350,8 @@ def lambda_grid(summaries, grid_size: int = 10, c_lo: float = 1e-3,
         scale = max(float(np.max(np.diag(c))) for c in covs)
     if not scale > 0:
         raise TuningError("class covariances are all zero")
-    lo, hi = c_lo * scale, c_hi * scale
-    if not lo < hi:
-        return np.array([hi])
-    return np.geomspace(lo, hi, grid_size)
+    return np.geomspace(_LAMBDA_C_LO * scale, _LAMBDA_C_HI * scale,
+                        _LAMBDA_GRID_SIZE)
 
 
 def _holdout_split(ds: LabeledDataset, rng: np.random.Generator):
@@ -412,8 +415,7 @@ def _tuning_set(train: LabeledDataset, pipeline: PipelineSpec,
                 rng: np.random.Generator, inner_folds: int | None):
     """(dims, ascending grid, tuning splits) of one training set."""
     dims = pipeline.resolved_dims(train.p)
-    grid = lambda_grid(summarize(train), pipeline.lambda_grid_size,
-                       pipeline.lambda_c_lo, pipeline.lambda_c_hi)
+    grid = lambda_grid(summarize(train))
     if inner_folds is None:
         splits = [_TuningSplit(*_holdout_split(train, rng))]
     else:
@@ -501,9 +503,7 @@ def tune_lambda(trains, pipeline: PipelineSpec, rngs,
 def _mc_replicate_worker(args) -> dict:
     cfg, pipelines, j = args
     chols = [spd_cholesky(c) for c in cfg.covs]
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.master_seed, spawn_key=(_NS_REPLICATE, j))
-    )
+    rng = _stream(cfg.master_seed, _NS_REPLICATE, j)
     feats, labels = [], []
     for i, (mu, chol) in enumerate(zip(cfg.means, chols)):
         pool = _mvn_rows(np.asarray(mu), chol, cfg.pool_size, rng)
@@ -521,15 +521,9 @@ def _mc_replicate_worker(args) -> dict:
     out = {("qda_full", None): _full_qda_cer(train, test)}
     for idx, pl in enumerate(pipelines):
         dims = pl.resolved_dims(cfg.p)
-        split = _studentized(train, test, pl)
-        cers = dict.fromkeys(dims)
-        if split is not None:
-            pl_rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.master_seed,
-                                       spawn_key=(_NS_REPLICATE, j, idx))
-            )
-            spec, = _fit_specs([split[0]], pl, [pl_rng])
-            cers = _pipeline_cers(*split, spec, dims)
+        cers, = _split_cers([_studentized(train, test, pl)], pl,
+                            [_stream(cfg.master_seed, _NS_REPLICATE, j, idx)],
+                            dims)
         out.update(((pl.name, r), cers[r]) for r in dims)
     return out
 
@@ -597,34 +591,21 @@ def run_mc_study(cfg: SimulationConfig, pipelines,
 
 def _cv_repeat_worker(args) -> dict:
     ds, pipeline, folds, seed, t, dims, inner_folds = args
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_NS_CV_REPEAT, t))
-    )
-    fold_ids = _stratified_fold_ids(ds.labels, folds, rng)
+    fold_ids = _stratified_fold_ids(ds.labels, folds,
+                                    _stream(seed, _NS_CV_REPEAT, t))
     splits = [_studentized(ds.subset(fold_ids != f), ds.subset(fold_ids == f),
                            pipeline) for f in range(folds)]
-    usable = [f for f in range(folds) if splits[f] is not None]
-    specs = dict(zip(usable, _fit_specs(
-        [splits[f][0] for f in usable], pipeline,
-        [np.random.default_rng(np.random.SeedSequence(
-            seed, spawn_key=(_NS_CV_REPEAT, t, f))) for f in usable],
-        inner_folds)))
-    keys = [("qda_full", None)] + [(pipeline.name, r) for r in dims]
-    fold_cers = {key: [] for key in keys}
-    for f, split in enumerate(splits):
-        if split is None:  # a training fold that cannot be studentized
-            cers, full = dict.fromkeys(dims), None
-        else:
-            cers = _pipeline_cers(*split, specs[f], dims)
-            # unlike the Monte Carlo baseline, qda_full sees the studentized fold
-            full = _full_qda_cer(*split)
-        for r in dims:
-            fold_cers[(pipeline.name, r)].append(cers[r])
-        fold_cers[("qda_full", None)].append(full)
-    out = {}
-    for key, vals in fold_cers.items():
-        out[key] = None if any(v is None for v in vals) else float(np.mean(vals))
-    return out
+    fold_cers = _split_cers(
+        splits, pipeline, [_stream(seed, _NS_CV_REPEAT, t, f)
+                           for f in range(folds)], dims, inner_folds)
+    # unlike the Monte Carlo baseline, qda_full sees the studentized fold
+    per_fold = {("qda_full", None): [None if split is None
+                                     else _full_qda_cer(*split)
+                                     for split in splits]}
+    per_fold.update(((pipeline.name, r), [cers[r] for cers in fold_cers])
+                    for r in dims)
+    return {key: None if None in vals else float(np.mean(vals))
+            for key, vals in per_fold.items()}
 
 
 def repeated_kfold_cv(ds: LabeledDataset, pipeline: PipelineSpec,

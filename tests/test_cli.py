@@ -287,8 +287,7 @@ class TestConfigSchema:
                 {"name": "m", "estimator": "mry", "lambda": 0.2,
                  "penalty": "qda", "gamma": 2.0, "standardize_mean": True,
                  "admm_tol": 1e-5, "admm_max_iters": 500, "tune": True,
-                 "lambda_grid_size": 3, "lambda_c_lo": 0.01,
-                 "lambda_c_hi": 0.5, "dims": "all"},
+                 "dims": "all"},
             ],
         }
         cfg_path = tmp_path / "cfg.json"
@@ -301,7 +300,6 @@ class TestConfigSchema:
                    for i, d in enumerate(resolved["pipelines"])]
         assert rebuilt == ran[0]
         assert ran[0][1].estimator.mry_gamma == 2.0
-        assert ran[0][1].lambda_c_hi == 0.5
 
     def test_resolved_config_re_runs_identically(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -334,6 +332,9 @@ class TestConfigSchema:
         ("pipelines[1]", "tune_mry_lambda",
          {"pipelines": [{}, {"tune_mry_lambda": False}]}),
         ("cfg.json", "replicate", {"replicate": 3}),
+        # the tuning grid is fixed; its size is not a setting
+        ("pipelines[0]", "lambda_grid_size",
+         {"pipelines": [{"estimator": "mry", "lambda_grid_size": 5}]}),
     ])
     def test_unknown_key_is_usage_error(self, tmp_path, capsys, where, key,
                                         config):
@@ -349,9 +350,6 @@ class TestConfigSchema:
         assert not (tmp_path / "cfg1_report.json").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("lambda_grid_size", 0),
-        ("lambda_c_lo", 0),
-        ("lambda_c_hi", -1.0),
         ("admm_max_iters", 0),
         ("admm_tol", 0),
         ("standardize", "no"),
@@ -371,6 +369,32 @@ class TestConfigSchema:
         err = capsys.readouterr().err
         assert f"pipelines[0].{key}:" in err and repr(value) in err
         assert not (tmp_path / "cfg1_report.json").exists()
+
+    @pytest.mark.parametrize("key, config, flags", [
+        ("replicates", {"replicates": "abc"}, []),
+        ("config_id", {"config_id": 1.5}, []),
+        ("seed", {"seed": "7"}, []),
+        ("seed", {}, ["--seed", -1]),
+        ("pool_size", {"pool_size": 2.5}, []),
+        ("n_policy", {"n_policy": [12]}, []),
+        ("name", {"name": ["run"]}, []),
+        ("pipelines", {"pipelines": 3}, []),
+        ("pipelines[0]", {"pipelines": [3]}, []),
+        ("JSON object", [{"config_id": 1}], []),
+    ])
+    def test_bad_top_level_value_is_usage_error(self, tmp_path, capsys, key,
+                                                config, flags):
+        if isinstance(config, dict):
+            config = {"config_id": 1, "n_policy": "2p", "seed": 1,
+                      "replicates": 1, **config}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = run_cli("simulate", "--config", cfg_path, *flags,
+                       "--out-dir", tmp_path, "--threads", 1)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*_report.json"))
 
 
 class TestSelectDimAndReport:

@@ -305,15 +305,6 @@ class TestMry:
             out = mry(cs_from(c * s, n=5), spec)
             assert out.diagnostics.iterations <= 50
 
-    def test_warm_start_consistent(self):
-        rng = np.random.default_rng(10)
-        s = random_spd(rng, 5)
-        spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=0.1)
-        cold = mry(cs_from(s, n=20), spec)
-        warm = mry(cs_from(s, n=20), spec,
-                   warm_start=cold.omega + 0.01 * np.eye(5))
-        np.testing.assert_allclose(cold.omega, warm.omega, atol=1e-5)
-
 
 def _solo(cs, spec, warm_start=None):
     """One problem through ``mry``: its estimate or its typed error."""
@@ -337,9 +328,8 @@ def _outcome(fit):
 @st.composite
 def mry_batches(draw):
     """A penalty and problems of one dimension with class ids, each with its
-    own lambda; some warm started from an Omega, some from the state of a
-    solve at another lambda, some with n_i <= p (singular S, slow to
-    converge)."""
+    own lambda; some warm started from the state of a solve at another
+    lambda, some with n_i <= p (singular S, slow to converge)."""
     p = draw(st.integers(2, 6))
     penalty = draw(st.sampled_from(["simple", "qda"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -350,16 +340,12 @@ def mry_batches(draw):
         cov = np.cov(x, rowvar=False, bias=True)
         cs = cs_from(cov, n=n, class_id=c,
                      mean=x.mean(axis=0) + rng.normal(size=p))
-        warm = draw(st.sampled_from(["cold", "omega", "state"]))
-        if warm == "omega":
-            warm = np.linalg.inv(cov + np.eye(p))
-        elif warm == "state":
+        warm = None
+        if draw(st.booleans()):
             earlier = _solo(cs, PrecisionEstimatorSpec(
                 kind="mry", mry_penalty=penalty, admm_tol=1e-4,
                 mry_lambda=draw(st.floats(0.01, 0.5)), admm_max_iters=1000))
             warm = getattr(earlier, "state", None)
-        else:
-            warm = None
         problems.append(cs)
         warm_starts.append(warm)
         lambdas.append(draw(st.floats(0.01, 0.5)))
@@ -445,9 +431,6 @@ class TestMryBatch:
         with pytest.raises(ConvergenceError) as info:
             mry(problems[1], capped)
         assert info.value.class_id == 7
-        with pytest.raises(InvalidInputError) as info:
-            mry_batch(problems, capped, [None, np.full((3, 3), np.nan)])
-        assert info.value.class_id == 7
 
     def test_bad_lambda_or_state_names_its_class(self):
         rng = np.random.default_rng(17)
@@ -462,6 +445,10 @@ class TestMryBatch:
         with pytest.raises(InvalidInputError) as info:
             mry_batch(problems, spec, [other, None])
         assert info.value.class_id == 2
+        # a warm start is a solve's state, never a starting Omega
+        with pytest.raises(InvalidInputError, match="ndarray") as info:
+            mry_batch(problems, spec, [None, np.eye(3)])
+        assert info.value.class_id == 5
 
     def test_problems_must_share_a_dimension(self):
         rng = np.random.default_rng(15)

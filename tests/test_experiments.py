@@ -112,8 +112,6 @@ def blobs(rng, n_per=40, p=3, k=2, spread=8.0):
 
 class TestPipelineSpec:
     @pytest.mark.parametrize("field, value", [
-        ("lambda_grid_size", 0), ("lambda_grid_size", 2.0),
-        ("lambda_c_lo", 0), ("lambda_c_hi", -1.0), ("lambda_c_hi", np.inf),
         ("standardize", "no"), ("tune_mry_lambda", None),
     ])
     def test_bad_setting_value_names_its_field(self, field, value):
@@ -310,10 +308,10 @@ class TestRepeatedKfoldCv:
 
         monkeypatch.setattr(experiments, "standardize", counting_standardize)
         monkeypatch.setattr(experiments, "tune_lambda", counting_tune)
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 3)
         ds = blobs(np.random.default_rng(14), n_per=30, p=3, spread=3.0)
         pl = PipelineSpec(name="m", dims=(1, 2), standardize=True,
-                          estimator=PrecisionEstimatorSpec(kind="mry"),
-                          lambda_grid_size=3)
+                          estimator=PrecisionEstimatorSpec(kind="mry"))
         rep = repeated_kfold_cv(ds, pl, folds=4, repeats=1, seed=6,
                                 threads=1, inner_folds=3)
         assert len(studentized) == 4 and tuned == [4]
@@ -449,7 +447,7 @@ class TestTuneLambda:
     def test_grid_anchored_at_largest_off_diagonal_covariance(self):
         rng = np.random.default_rng(14)
         ds = blobs(rng, n_per=30, p=3)
-        grid = lambda_grid(summarize(ds), grid_size=10, c_lo=1e-3, c_hi=1.0)
+        grid = lambda_grid(summarize(ds))
         assert grid.size == 10
         assert np.all(np.diff(grid) > 0)
         m = max(np.max(np.abs(cs.cov[~np.eye(3, dtype=bool)]))
@@ -457,41 +455,30 @@ class TestTuneLambda:
         assert grid[0] == pytest.approx(1e-3 * m)
         assert grid[-1] == pytest.approx(m)
 
-    def test_single_point_grid_returned(self):
-        rng = np.random.default_rng(15)
-        ds = blobs(rng, n_per=30, p=3, spread=6.0)
-        pl = PipelineSpec(
-            name="m",
-            estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
-            dims=(1,), lambda_grid_size=2, lambda_c_lo=1.0, lambda_c_hi=1e-6)
-        # inverted bounds collapse the grid to one candidate
-        lam = _tune_one(ds, pl, np.random.default_rng(0))
-        grid = lambda_grid(summarize(ds), 2, 1.0, 1e-6)
-        assert grid.size == 1
-        assert lam == pytest.approx(float(grid[0]))
-
-    def test_flat_validation_profile_prefers_largest(self):
+    def test_flat_validation_profile_prefers_largest(self, monkeypatch):
         # perfectly separated blobs: every candidate achieves zero error
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 5)
         rng = np.random.default_rng(16)
         ds = blobs(rng, n_per=40, p=3, spread=50.0)
         pl = PipelineSpec(
             name="m",
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
-            dims=(1, 2), lambda_grid_size=5)
+            dims=(1, 2))
         lam = _tune_one(ds, pl, np.random.default_rng(1))
-        grid = lambda_grid(summarize(ds), 5)
+        grid = lambda_grid(summarize(ds))
         assert lam == pytest.approx(float(grid[-1]))
 
     def test_non_finite_candidate_is_dropped(self, monkeypatch):
         # perfectly separated blobs: every candidate scores zero error, so
         # without the poisoned top candidate the next largest one wins
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 5)
         rng = np.random.default_rng(16)
         ds = blobs(rng, n_per=40, p=3, spread=50.0)
         pl = PipelineSpec(
             name="m",
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
-            dims=(1, 2), lambda_grid_size=5)
-        grid = lambda_grid(summarize(ds), 5)
+            dims=(1, 2))
+        grid = lambda_grid(summarize(ds))
         poisoned = []
 
         def batch_poisoning_top(summaries, spec, warm_starts, lambdas):
@@ -517,11 +504,12 @@ class TestTuneLambda:
         ds = blobs(np.random.default_rng(seed), n_per=14, p=4, k=3,
                    spread=2.0)
         max_iters = {"simple": 20, "qda": 50}[penalty]
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 6)
         pl = PipelineSpec(
-            name="m", dims=(1, 2, 3, 4), lambda_grid_size=6,
+            name="m", dims=(1, 2, 3, 4),
             estimator=PrecisionEstimatorSpec(kind="mry", mry_penalty=penalty,
                                              admm_max_iters=max_iters))
-        grid = lambda_grid(summarize(ds), 6)
+        grid = lambda_grid(summarize(ds))
         fold_ids = _stratified_fold_ids(ds.labels, 3,
                                         np.random.default_rng(0))
         splits = [(ds.subset(fold_ids != f), ds.subset(fold_ids == f))
@@ -563,15 +551,16 @@ class TestTuneLambda:
         trains = [ds.subset(fold_ids != f) for f in range(4)]
         keep = (ds.labels != 2) | (np.cumsum(ds.labels == 2) <= 2)
         trains.insert(2, ds.subset(keep))  # class 2 has 2 rows
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 5)
         pl = PipelineSpec(
-            name="m", dims=(1, 2, 3), lambda_grid_size=5,
+            name="m", dims=(1, 2, 3),
             estimator=PrecisionEstimatorSpec(kind="mry", admm_max_iters=40))
         one_point = summarize(trains[1])[0].mean.tobytes()
         grid_of, score = experiments.lambda_grid, experiments._candidate_score
         seen = {}
 
-        def grid(summaries, *args):
-            full = grid_of(summaries, *args)
+        def grid(summaries):
+            full = grid_of(summaries)
             return full[-1:] if summaries[0].mean.tobytes() == one_point \
                 else full
 
@@ -596,7 +585,7 @@ class TestTuneLambda:
         assert list(map(outcome, together)) == list(map(outcome, alone))
         assert seen_together == seen
         assert isinstance(together[2], StratificationError)
-        assert together[1] == float(grid(summarize(trains[1]), 5)[0])
+        assert together[1] == float(grid(summarize(trains[1]))[0])
         assert all(isinstance(together[i], float) for i in (0, 3, 4))
         assert len(seen) == 4 * 3
         assert sum(map(len, seen.values())) == 3 * (1 + 3 * 5)
@@ -620,12 +609,13 @@ class TestTuneLambda:
         with pytest.raises(InvalidInputError):
             tune_lambda([ds], pl, [np.random.default_rng(0)])
 
-    def test_cv_mode_runs(self):
+    def test_cv_mode_runs(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 4)
         rng = np.random.default_rng(19)
         ds = blobs(rng, n_per=40, p=3, spread=3.0)
         pl = PipelineSpec(
             name="m",
             estimator=PrecisionEstimatorSpec(kind="mry", mry_lambda=1.0),
-            dims=(1, 2, 3), lambda_grid_size=4)
+            dims=(1, 2, 3))
         lam = _tune_one(ds, pl, np.random.default_rng(3), inner_folds=3)
         assert lam > 0

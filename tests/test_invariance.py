@@ -23,12 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssdr import experiments
 from ssdr.datamodel import ClassSummary, LabeledDataset
 from ssdr.errors import TuningError
 from ssdr.estimators import PrecisionEstimatorSpec, estimate
 from ssdr.experiments import (
     PipelineSpec,
-    _pipeline_cers,
+    _split_cers,
     lambda_grid,
     mvn_sample,
     simulation_config,
@@ -74,10 +75,11 @@ def test_feature_permutation_leaves_every_rate_unchanged(config_id, n_policy,
     perm = list(perm)
     for pl in FIXED_LAMBDA_PIPELINES:
         dims = pl.resolved_dims(cfg.p)
-        base = _pipeline_cers(train, test, pl.estimator, dims)
-        permuted = _pipeline_cers(train.with_features(train.features[:, perm]),
-                                  test.with_features(test.features[:, perm]),
-                                  pl.estimator, dims)
+        # these pipelines neither tune nor studentize, so need no generator
+        base, = _split_cers([(train, test)], pl, [None], dims)
+        permuted, = _split_cers(
+            [(train.with_features(train.features[:, perm]),
+              test.with_features(test.features[:, perm]))], pl, [None], dims)
         assert permuted == base, pl.name
 
 
@@ -140,12 +142,14 @@ def test_lambda_grid_scales_with_the_covariances(problems, c):
                                atol=0)
 
 
-def test_lambda_grid_falls_back_to_the_diagonal():
+def test_lambda_grid_falls_back_to_the_diagonal(monkeypatch):
+    monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 4)
     diag = _summary(np.diag([2.0, 5.0, 3.0]), 10)
-    np.testing.assert_allclose(lambda_grid([diag], 3, 1e-2, 1.0),
-                               [0.05, 0.5, 5.0], rtol=GRID_TOL)
+    np.testing.assert_allclose(lambda_grid([diag]), [0.005, 0.05, 0.5, 5.0],
+                               rtol=GRID_TOL)
+    monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 2)
     one = _summary(np.array([[4.0]]), 10)
-    assert lambda_grid([one], 2, 0.5, 1.0).tolist() == [2.0, 4.0]
+    assert lambda_grid([one]).tolist() == [0.004, 4.0]
     with pytest.raises(TuningError):
         lambda_grid([_summary(np.zeros((2, 2)), 10)])
 
