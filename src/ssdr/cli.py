@@ -359,9 +359,13 @@ def cmd_select_dim(args) -> int:
     if not methods:
         raise UsageError(f"{args.report}: no dimension sweeps to select from")
     for method in methods:
+        cells = [c for c in report.cells if c.method == method]
+        if cells and not any(c.rates for c in cells):  # every unit failed
+            print(f"{method}: no rates, {cells[0].failures} failed units")
+            continue
         r_star, median = select_dimension(report, method=method)
         print(f"{method}: r_star={r_star} median_cer={median:.6f}")
-    return 0
+    return _exit_code(report)
 
 
 def cmd_report(args) -> int:

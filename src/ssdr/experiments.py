@@ -5,18 +5,19 @@ A work unit (a Monte Carlo replicate, or a CV repeat of k folds)
 studentizes each training/test split if the pipeline asks
 (``_studentized``) and hands its splits to ``_split_cers``, the one path
 from splits to rates: it tunes the MRY penalty of every training set of the
-unit in one ``tune_lambda`` call if asked, and then, per split, builds the
-discriminant matrix, extracts the projection basis once, and records for
-each r the estimated conditional error rate of plain QDA fitted on the
-projected training data and applied to the projected test data. One
-Cholesky factorization per class serves every r of the sweep (see
-``_sweep_cers``). The full-feature QDA error is always recorded as a
-baseline under the method name "qda_full"; ``_study_report`` turns the
-per-unit results into a CerReport. Penalty tuning solves
-candidate k of every training set as one ``mry_batch`` over every (set,
-split, class) problem, each solve resuming the final ADMM state of its
-solve at the previous candidate, and repeats only the discriminant matrix
--> SVD -> sweep steps per candidate (``_candidate_score``).
+unit in one ``tune_lambda`` call if asked, and then, per split, summarizes
+the training part once, builds the discriminant matrix, extracts the
+projection basis once, and records for each r the estimated conditional
+error rate of plain QDA on the class summaries rotated onto the basis,
+applied to the projected test data. One Cholesky factorization per class
+serves every r of the sweep (see ``_sweep_cers``). The full-feature QDA
+error is always recorded as a baseline under the method name "qda_full";
+``_study_report`` turns the per-unit results into a CerReport. Penalty
+tuning summarizes each tuning split once, solves candidate k of every
+training set as one ``mry_batch`` over every (set, split, class) problem,
+each solve resuming the final ADMM state of its solve at the previous
+candidate, and repeats only the discriminant matrix -> SVD -> sweep steps
+per candidate (``_candidate_score``).
 
 Reproducibility contract: every work unit (replicate, repeat, tuning split)
 derives its RNG stream from the master seed and the unit index via
@@ -134,6 +135,10 @@ def simulation_config(config_id: int, n_policy, replicates: int = 200,
 
     n_policy is one of "p+1", "2p", "6p", or an explicit integer.
     """
+    for name, value, least in (("replicates", replicates, 1),
+                               ("master_seed", master_seed, 0)):
+        if value < least:
+            raise InvalidInputError(f"{name} must be >= {least}, got {value}")
     if config_id == 1:
         p = 10
         means = (np.zeros(p), np.ones(p))
@@ -167,8 +172,6 @@ def simulation_config(config_id: int, n_policy, replicates: int = 200,
         policy = str(n_i)
     if not 2 <= n_i < pool_size:
         raise InvalidInputError(f"n_i={n_i} must be in [2, pool_size)")
-    if replicates < 1:
-        raise InvalidInputError("replicates must be >= 1")
     return SimulationConfig(
         config_id=config_id, p=p,
         means=tuple(means), covs=tuple(symmetrize(c) for c in covs),
@@ -218,8 +221,6 @@ def mvn_sample(mean, cov, n: int, seed) -> np.ndarray:
 
 def _mvn_rows(mean: np.ndarray, chol: np.ndarray, n: int,
               rng: np.random.Generator) -> np.ndarray:
-    if n == 0:
-        return np.empty((0, mean.size))
     z = rng.standard_normal((n, mean.size))
     return mean + z @ chol.T
 
@@ -239,17 +240,18 @@ def _full_qda_cer(train: LabeledDataset, test: LabeledDataset) -> float | None:
         return None
 
 
-def _sweep_cers(train: LabeledDataset, test: LabeledDataset,
-                u_full: np.ndarray, dims) -> dict:
+def _sweep_cers(summaries, test: LabeledDataset, u_full: np.ndarray,
+                dims) -> dict:
     """Reduced-QDA error per r in dims, from one factorization per class.
 
-    The projected class moments for dimension r are the leading r x r block
-    of the moments rotated onto the first max(dims) columns of u_full, and
-    the Cholesky factor L_r of a leading block is the leading block of the
-    full factor L. One triangular solve L z = x - mean per class and test
-    row therefore gives the QDA score at every r as a prefix sum,
-    cumsum(z**2) + 2 cumsum(log diag L) - 2 log prior. Each row goes to the
-    class of lowest score, ties to the lowest class id as in qda.classify.
+    Each class summary is rotated onto B, the first max(dims) columns of
+    u_full, as mean B and B' S B, not re-estimated from projected rows; the
+    moments for dimension r are their leading r x r block, and the Cholesky
+    factor L_r of a leading block is the leading block of the full factor L.
+    One triangular solve L z = x - mean per class and test row therefore
+    gives the QDA score at every r as a prefix sum, cumsum(z**2) +
+    2 cumsum(log diag L) - 2 log prior. Each row goes to the class of lowest
+    score, ties to the lowest class id as in qda.classify.
 
     Class i supports r up to the smallest of its first failed pivot, n_i - 1
     and max(dims): the ML covariance of n_i rows has rank at most n_i - 1,
@@ -258,22 +260,22 @@ def _sweep_cers(train: LabeledDataset, test: LabeledDataset,
     (None), as a singular projected covariance is for qda.fit.
     """
     basis = u_full[:, :max(dims)]
-    summaries = summarize(train.with_features(train.features @ basis))
     q = basis.shape[1]
     factors = []
     for cs in summaries:
-        chol, valid = cholesky_prefix(cs.cov)
+        chol, valid = cholesky_prefix(basis.T @ cs.cov @ basis)
         q = min(q, valid, cs.n_i - 1)
         factors.append(chol)
     consts = [2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
               - 2.0 * np.log(cs.prior) for cs, chol in zip(summaries, factors)]
+    rot_means = [(cs.mean @ basis)[:q] for cs in summaries]
     rot_test = (test.features @ basis)[:, :q]
     misses = np.zeros(q, dtype=np.int64)
     for start in range(0, test.n, _SWEEP_BLOCK_ROWS):
         rows = slice(start, start + _SWEEP_BLOCK_ROWS)
         best = pred = None
-        for cs, chol, const in zip(summaries, factors, consts):
-            z = solve_triangular(chol[:q, :q], (rot_test[rows] - cs.mean[:q]).T,
+        for cs, mean, chol, const in zip(summaries, rot_means, factors, consts):
+            z = solve_triangular(chol[:q, :q], (rot_test[rows] - mean).T,
                                  lower=True, check_finite=False)
             score = np.cumsum(z * z, axis=0) + const[:, None]
             if best is None:
@@ -326,9 +328,10 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
     for i, fit_spec in specs.items():
         train, test = splits[i]
         try:
+            summaries = summarize(train)
             u_full, _, _ = svd_full(
-                build_discriminant_matrix(summarize(train), fit_spec))
-            out[i] = _sweep_cers(train, test, u_full, dims)
+                build_discriminant_matrix(summaries, fit_spec))
+            out[i] = _sweep_cers(summaries, test, u_full, dims)
         except SsdrError:
             pass  # every r stays missing
     return out
@@ -354,8 +357,8 @@ def lambda_grid(summaries) -> np.ndarray:
                         _LAMBDA_GRID_SIZE)
 
 
-def _holdout_split(ds: LabeledDataset, rng: np.random.Generator):
-    """Per-class split: ~_VALIDATION_FRACTION of each class to validation."""
+def _holdout_mask(ds: LabeledDataset, rng: np.random.Generator):
+    """Validation rows of a per-class split: ~_VALIDATION_FRACTION of each."""
     val_mask = np.zeros(ds.n, dtype=bool)
     for c in range(ds.k):
         idx = np.nonzero(ds.labels == c)[0]
@@ -367,7 +370,7 @@ def _holdout_split(ds: LabeledDataset, rng: np.random.Generator):
                 f"class {c} too small ({idx.size}) for a validation split"
             )
         val_mask[idx[:n_val]] = True
-    return ds.subset(~val_mask), ds.subset(val_mask)
+    return val_mask
 
 
 def _stratified_fold_ids(labels: np.ndarray, folds: int,
@@ -387,14 +390,13 @@ def _stratified_fold_ids(labels: np.ndarray, folds: int,
     return assign
 
 
-def _candidate_score(sub: LabeledDataset, val: LabeledDataset, summaries,
-                     omegas, dims) -> float | None:
+def _candidate_score(val: LabeledDataset, summaries, omegas, dims) -> float | None:
     """Best-over-r validation error of one candidate's class precisions."""
     try:
         mhat = discriminant_matrix_from(
             [cs.mean for cs in summaries], [cs.cov for cs in summaries], omegas)
         u_full, _, _ = svd_full(mhat)
-        cers = _sweep_cers(sub, val, u_full, dims)
+        cers = _sweep_cers(summaries, val, u_full, dims)
     except SsdrError:
         return None
     vals = [v for v in cers.values() if v is not None]
@@ -404,9 +406,9 @@ def _candidate_score(sub: LabeledDataset, val: LabeledDataset, summaries,
 class _TuningSplit:
     """One training/validation split of a set being tuned."""
 
-    def __init__(self, sub: LabeledDataset, val: LabeledDataset):
-        self.sub, self.val = sub, val
-        self.summaries = summarize(sub)
+    def __init__(self, train: LabeledDataset, held_out: np.ndarray):
+        self.summaries = summarize(train.subset(~held_out))
+        self.val = train.subset(held_out)
         self.warm = [None] * len(self.summaries)  # each class's next start
         self.scores = {}  # candidate -> best-over-r error, None if it failed
 
@@ -417,11 +419,10 @@ def _tuning_set(train: LabeledDataset, pipeline: PipelineSpec,
     dims = pipeline.resolved_dims(train.p)
     grid = lambda_grid(summarize(train))
     if inner_folds is None:
-        splits = [_TuningSplit(*_holdout_split(train, rng))]
+        splits = [_TuningSplit(train, _holdout_mask(train, rng))]
     else:
         fold_ids = _stratified_fold_ids(train.labels, inner_folds, rng)
-        splits = [_TuningSplit(train.subset(fold_ids != f),
-                               train.subset(fold_ids == f))
+        splits = [_TuningSplit(train, fold_ids == f)
                   for f in range(inner_folds)]
     return dims, grid, splits
 
@@ -452,12 +453,13 @@ def tune_lambda(trains, pipeline: PipelineSpec, rngs,
     training split of the set and scored by its best-over-r error on the
     held-out rest; otherwise that error is averaged over ``inner_folds``
     stratified folds. The set's generator in ``rngs`` draws its split, so
-    each set is tuned as if alone. Candidates run from the largest penalty
-    down, and candidate k of every set is one ``mry_batch`` over every
-    (set, split, class) problem. Each class's solve starts from the final
-    ADMM state of its solve at the previous candidate, as if each split's
-    classes were fitted in order: a failed class drops the candidate for
-    its split, and it and the classes after it keep their previous state.
+    each set is tuned as if alone; a split keeps class summaries, not its
+    training rows. Candidates run from the largest penalty down, and
+    candidate k of every set is one ``mry_batch`` over every (set, split,
+    class) problem. Each class's solve starts from the final ADMM state of
+    its solve at the previous candidate, as if each split's classes were
+    fitted in order: a failed class drops the candidate for its split, and
+    it and the classes after it keep their previous state.
 
     Returns per set its penalty, or the typed error that ended its tuning
     (StratificationError when its folds cannot be drawn, TuningError when
@@ -494,7 +496,7 @@ def tune_lambda(trains, pipeline: PipelineSpec, rngs,
                 omegas.append(fit.omega)
             fits = fits[len(sp.summaries):]
             sp.scores[lam] = (
-                _candidate_score(sp.sub, sp.val, sp.summaries, omegas, dims)
+                _candidate_score(sp.val, sp.summaries, omegas, dims)
                 if len(omegas) == len(sp.summaries) else None)
     return [ts if isinstance(ts, SsdrError) else _selected_lambda(*ts[1:])
             for ts in sets]
@@ -502,21 +504,15 @@ def tune_lambda(trains, pipeline: PipelineSpec, rngs,
 
 def _mc_replicate_worker(args) -> dict:
     cfg, pipelines, j = args
-    chols = [spd_cholesky(c) for c in cfg.covs]
     rng = _stream(cfg.master_seed, _NS_REPLICATE, j)
-    feats, labels = [], []
-    for i, (mu, chol) in enumerate(zip(cfg.means, chols)):
-        pool = _mvn_rows(np.asarray(mu), chol, cfg.pool_size, rng)
-        pool = pool[rng.permutation(cfg.pool_size)]
-        feats.append(pool)
-        labels.append(np.full(cfg.pool_size, i, dtype=np.int64))
-    train_mask = np.zeros(cfg.pool_size * cfg.k, dtype=bool)
-    for i in range(cfg.k):
-        train_mask[i * cfg.pool_size:i * cfg.pool_size + cfg.n_i] = True
-    allfeat = np.vstack(feats)
-    alllab = np.concatenate(labels)
-    train = LabeledDataset(allfeat[train_mask], alllab[train_mask])
-    test = LabeledDataset(allfeat[~train_mask], alllab[~train_mask])
+    pools = []
+    for mu, cov in zip(cfg.means, cfg.covs):
+        pool = _mvn_rows(np.asarray(mu), spd_cholesky(cov), cfg.pool_size, rng)
+        pools.append(pool[rng.permutation(cfg.pool_size)])
+    train = LabeledDataset(np.vstack([x[:cfg.n_i] for x in pools]),
+                           np.repeat(np.arange(cfg.k), cfg.n_i))
+    test = LabeledDataset(np.vstack([x[cfg.n_i:] for x in pools]),
+                          np.repeat(np.arange(cfg.k), cfg.pool_size - cfg.n_i))
 
     out = {("qda_full", None): _full_qda_cer(train, test)}
     for idx, pl in enumerate(pipelines):
@@ -624,15 +620,15 @@ def repeated_kfold_cv(ds: LabeledDataset, pipeline: PipelineSpec,
     """
     for name, value, least in (("folds", folds, 2),
                                ("inner_folds", inner_folds, 2),
-                               ("repeats", repeats, 1)):
+                               ("repeats", repeats, 1),
+                               ("seed", seed, 0)):
         if value < least:
             raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    jitter_seed = None
     if jitter_sigma is not None:
         jitter_seed = int(np.random.SeedSequence(
             seed, spawn_key=(_NS_JITTER,)).generate_state(1)[0])
         ds = jitter(ds, jitter_sigma, jitter_seed)
-    else:
-        jitter_seed = None
     dims = pipeline.resolved_dims(ds.p)
     _stratified_fold_ids(ds.labels, folds, np.random.default_rng(0))  # validate sizes
     args = [(ds, pipeline, folds, seed, t, dims, inner_folds)

@@ -155,6 +155,16 @@ class TestCv:
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_negative_seed_is_fatal(self, tmp_path, capsys):
+        data = tmp_path / "blobs.csv"
+        write_blob_csv(data, np.random.default_rng(0))
+        code = run_cli("cv", "--data", data, "--seed", -1, "--folds", 5,
+                       "--repeats", 1, "--out-dir", tmp_path, "--threads", 1)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*_report.json"))
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_degenerate_training_fold_is_recorded(self, tmp_path, threads):
         # column 2 is zero except in one row: the training fold without that
@@ -430,6 +440,25 @@ class TestSelectDimAndReport:
                        tmp_path / "cfg1_report.json")
         assert code == 1
         assert "no dimension sweeps" in capsys.readouterr().err
+
+    def test_select_dim_with_a_pipeline_that_failed_every_unit(
+            self, tmp_path, capsys):
+        # haff needs n_i > p + 2, so at n_i = p + 1 every replicate fails
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "config_id": 1, "n_policy": "p+1", "replicates": 2, "seed": 1,
+            "pipelines": [{"estimator": "haff"}, {"estimator": "sample"}]}))
+        code = run_cli("simulate", "--config", cfg, "--out-dir", tmp_path,
+                       "--threads", 1)
+        assert code == 2
+        capsys.readouterr()
+        code = run_cli("select-dim", "--report",
+                       tmp_path / "cfg1_report.json")
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "ssdr_haff: no rates, 2 failed units"
+        assert lines[1].startswith("ssdr_sample_inverse: r_star=")
+        assert len(lines) == 2
 
     def test_report_merges_sorted(self, report_path, tmp_path):
         out = tmp_path / "merged.csv"

@@ -74,7 +74,7 @@ def _serial_grid_scores(sub, val, pipeline, grid, failures):
                 u_full, _, _ = svd_full(discriminant_matrix_from(
                     [cs.mean for cs in summaries],
                     [cs.cov for cs in summaries], omegas))
-                cers = _sweep_cers(sub, val, u_full,
+                cers = _sweep_cers(summaries, val, u_full,
                                    pipeline.resolved_dims(sub.p))
             except SsdrError:
                 continue
@@ -317,6 +317,33 @@ class TestRepeatedKfoldCv:
         assert len(studentized) == 4 and tuned == [4]
         assert rep.cell("m", 1).rates and rep.cell("qda_full", None).rates
 
+    def test_negative_seed_is_rejected(self):
+        ds = blobs(np.random.default_rng(0))
+        pl = PipelineSpec(name="ssdr_sample", estimator=SAMPLE, dims=(1,))
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            repeated_kfold_cv(ds, pl, folds=5, repeats=1, seed=-1,
+                              jitter_sigma=1e-5)
+        with pytest.raises(InvalidInputError, match="master_seed must be >= 0"):
+            simulation_config(4, "2p", master_seed=-1)
+
+    def test_only_full_width_rows_are_summarized(self, monkeypatch):
+        # the sweep rotates class summaries onto the basis, so no step of a
+        # tuned repeat summarizes projected rows
+        summarize_, widths = experiments.summarize, []
+
+        def spy_summarize(ds):
+            widths.append(ds.p)
+            return summarize_(ds)
+
+        monkeypatch.setattr(experiments, "summarize", spy_summarize)
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 3)
+        ds = blobs(np.random.default_rng(21), n_per=30, p=4, k=3, spread=3.0)
+        pl = PipelineSpec(name="m", dims=(1, 2),
+                          estimator=PrecisionEstimatorSpec(kind="mry"))
+        out = experiments._cv_repeat_worker((ds, pl, 3, 0, 0, (1, 2), 3))
+        assert out[("m", 1)] is not None and out[("m", 2)] is not None
+        assert widths and set(widths) == {4}
+
     def test_rotation_invariance_at_full_dimension(self):
         rng = np.random.default_rng(13)
         ds = blobs(rng, n_per=50, p=4, spread=2.0)
@@ -376,7 +403,7 @@ class TestSweepCers:
     def test_matches_per_r_fits_when_classes_exceed_p(self, problem):
         train, test, u_full, dims = problem
         assert test.n > _SWEEP_BLOCK_ROWS and test.n % _SWEEP_BLOCK_ROWS
-        got = _sweep_cers(train, test, u_full, dims)
+        got = _sweep_cers(summarize(train), test, u_full, dims)
         assert got == reference_sweep(train, test, u_full, dims)
         assert None not in got.values()
 
@@ -385,7 +412,7 @@ class TestSweepCers:
     def test_dims_past_smallest_class_are_missing(self, problem):
         train, test, u_full, dims = problem
         cap = int(train.class_counts().min()) - 1
-        got = _sweep_cers(train, test, u_full, dims)
+        got = _sweep_cers(summarize(train), test, u_full, dims)
         ref = reference_sweep(train, test, u_full, dims)
         assert {r: got[r] for r in dims if r <= cap} == \
             {r: ref[r] for r in dims if r <= cap}
@@ -397,7 +424,7 @@ class TestSweepCers:
         feats[:20, 0] = 0.0  # class 0 has no spread along the first axis
         ds = LabeledDataset(feats, [0] * 20 + [1] * 20)
         dims = (1, 2, 3)
-        got = _sweep_cers(ds, ds, np.eye(3), dims)
+        got = _sweep_cers(summarize(ds), ds, np.eye(3), dims)
         assert got == reference_sweep(ds, ds, np.eye(3), dims)
         assert got == {1: None, 2: None, 3: None}
 
@@ -407,8 +434,9 @@ class TestSweepCers:
     def test_test_row_order_is_irrelevant(self, problem, seed):
         train, test, u_full, dims = problem
         perm = np.random.default_rng(seed).permutation(test.n)
-        assert _sweep_cers(train, test.subset(perm), u_full, dims) == \
-            _sweep_cers(train, test, u_full, dims)
+        summaries = summarize(train)
+        assert _sweep_cers(summaries, test.subset(perm), u_full, dims) == \
+            _sweep_cers(summaries, test, u_full, dims)
 
 
 class TestSelectDimension:
@@ -528,8 +556,8 @@ class TestTuneLambda:
             lams.append(lambdas[0])
             return batch(summaries, spec, warm_starts, lambdas)
 
-        def spy_score(sub, val, *args):
-            seen[lams[-1], val.features.tobytes()] = score(sub, val, *args)
+        def spy_score(val, *args):
+            seen[lams[-1], val.features.tobytes()] = score(val, *args)
             return seen[lams[-1], val.features.tobytes()]
 
         monkeypatch.setattr(experiments, "mry_batch", spy_batch)
@@ -564,8 +592,8 @@ class TestTuneLambda:
             return full[-1:] if summaries[0].mean.tobytes() == one_point \
                 else full
 
-        def spy_score(sub, val, summaries, omegas, dims):
-            out = score(sub, val, summaries, omegas, dims)
+        def spy_score(val, summaries, omegas, dims):
+            out = score(val, summaries, omegas, dims)
             seen.setdefault(val.features.tobytes(), []).append(
                 (out, [o.tobytes() for o in omegas]))
             return out
