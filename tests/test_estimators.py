@@ -215,7 +215,57 @@ def offdiag_kkt_residual(s, omega, lam, zero_tol=1e-8):
     return worst
 
 
+def qda_penalty_residuals(cs, gamma, fit):
+    """Independent optimality check of a QDA-penalty estimate, from its
+    Omega and final ADMM state alone, with B = (mean, gamma I).
+
+    Returns (primal, stationarity, subgradient): ||B' Omega B - Z||_F;
+    ||S - Omega^-1 + B Y B'||_F with the dual Y = rho U; and how far Y is
+    from a subgradient of lambda |Z|_1 over the off-diagonal entries (zero
+    diagonal, lambda sign(Z_ij) where Z_ij != 0, |Y_ij| <= lambda elsewhere).
+    """
+    b = np.column_stack([cs.mean, gamma * np.eye(cs.p)])
+    z, lam, y = fit.state.z, fit.state.lam, fit.state.rho * fit.state.u
+    primal = np.linalg.norm(b.T @ fit.omega @ b - z)
+    stationarity = np.linalg.norm(
+        cs.cov - np.linalg.inv(fit.omega) + b @ y @ b.T)
+    off = ~np.eye(len(z), dtype=bool)
+    nonzero, zero = off & (z != 0), off & (z == 0)
+    subgradient = max(
+        float(np.max(np.abs(np.diag(y)))),
+        float(np.max(np.abs(y[nonzero] - lam * np.sign(z[nonzero])),
+                     initial=0.0)),
+        float(np.max(np.abs(y[zero]) - lam, initial=0.0)))
+    return primal, stationarity, subgradient
+
+
 class TestMry:
+    def test_qda_penalty_solutions_are_optimal(self):
+        # the solver stops once its primal and dual residuals are below
+        # admm_tol; at the stop the stationarity residual equals the dual
+        # one, and the Z-step makes rho U an exact subgradient
+        rng = np.random.default_rng(31)
+        tol = 1e-8
+        for _ in range(12):
+            p = int(rng.integers(3, 9))
+            gamma = float(rng.choice([0.5, 1.0, 2.0]))
+            n = int(rng.choice([p + 1, 3 * p]))
+            x = rng.normal(size=(n, p)) * rng.uniform(0.3, 3.0, size=p)
+            cs = cs_from(np.cov(x, rowvar=False, bias=True), n=n,
+                         mean=x.mean(axis=0) + rng.normal(size=p))
+            spec = PrecisionEstimatorSpec(
+                kind="mry", mry_penalty="qda", mry_gamma=gamma, admm_tol=tol,
+                mry_lambda=float(rng.uniform(0.01, 0.5)))
+            cold = mry(cs, spec)
+            warm = mry(cs, spec.with_lambda(float(rng.uniform(0.01, 0.5))),
+                       warm_start=cold.state)
+            for fit in (cold, warm):
+                primal, stationarity, subgradient = qda_penalty_residuals(
+                    cs, gamma, fit)
+                assert primal <= 2 * tol
+                assert stationarity <= 2 * tol
+                assert subgradient <= 1e-12
+
     @pytest.mark.parametrize("penalty", ["simple", "qda"])
     def test_non_finite_iterate_is_typed_error(self, monkeypatch, penalty):
         prox = estimators._logdet_prox

@@ -230,6 +230,38 @@ class TestRunMcStudy:
         with pytest.raises(InvalidInputError, match="repeat"):
             run_mc_study(cfg, [pl], threads=1)
 
+    # Misclassified test rows per replicate, [qda_full, r = 1, 2, ...], of
+    # tuned MRY-QDA studies at n_i = p + 1, master seed 20240812. A change
+    # to the ADMM arithmetic that moves only roundoff keeps every one.
+    GOLDEN_MISSES = {
+        (2, None): [
+            [8773, 5318, 5433, 6066, 6182, 6804, 7274, 8111, 8347, 8401, 8773],
+            [9851, 5136, 4383, 5042, 5164, 5448, 5613, 5779, 6042, 7979, 9851],
+            [8121, 5121, 4142, 4701, 4964, 5673, 6468, 6804, 7074, 8077, 8121],
+            [9107, 5335, 5040, 5346, 5648, 5816, 6303, 6941, 7176, 8024, 9107],
+            [8989, 5995, 4565, 5227, 5997, 6339, 7217, 7660, 7994, 8632, 8989],
+            [8469, 7753, 5337, 6108, 6483, 7135, 7473, 8226, 7311, 8360, 8469],
+        ],
+        (4, tuple(range(1, 11))): [
+            [4891, 1030, 967, 1104, 1184, 1192, 1317, 1317, 1378, 1418, 1446],
+        ],
+    }
+
+    @pytest.mark.parametrize("config_id, dims", list(GOLDEN_MISSES),
+                             ids=["config2", "config4"])
+    def test_tuned_mry_qda_rates_are_pinned(self, config_id, dims):
+        golden = self.GOLDEN_MISSES[config_id, dims]
+        cfg = simulation_config(config_id, "p+1", replicates=len(golden),
+                                master_seed=20240812)
+        pl = PipelineSpec(name="m", dims=dims, estimator=PrecisionEstimatorSpec(
+            kind="mry", mry_penalty="qda", mry_gamma=1.0))
+        rep = run_mc_study(cfg, [pl], threads=1)
+        n_test = cfg.k * (cfg.pool_size - cfg.n_i)
+        cells = [rep.cell("qda_full", None)] + [
+            rep.cell("m", r) for r in pl.resolved_dims(cfg.p)]
+        got = [[cell.rates[j] for cell in cells] for j in range(len(golden))]
+        assert got == [[m / n_test for m in row] for row in golden]
+
     def test_metadata_freezes_protocol(self):
         cfg = simulation_config(4, "p+1", replicates=1, master_seed=13)
         rep = run_mc_study(cfg, [], threads=1)
