@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -340,16 +341,26 @@ def _norms(a: np.ndarray) -> list:
 
 
 def _logdet_prox(e: np.ndarray, t: np.ndarray):
-    """Solve t * Omega - Omega^-1 = E for SPD Omega, per matrix of a stack.
+    """Solve t * X - X^-1 = E for SPD X, per matrix of a stack, as
+    X = Q diag(d) Q' from one symmetric eigendecomposition of E.
 
-    ``t`` holds one value per matrix, shape (B, 1). Returns (Omega, Q, d)
-    with Omega = Q diag(d) Q' from one symmetric eigendecomposition;
-    Omega^-1 = Q diag(1/d) Q' is formed only for a final iterate.
+    ``t`` holds one value per matrix, shape (B, 1). Returns (Q, d); the loop
+    forms from them only what it needs. When the stacked eigendecomposition
+    fails to converge, each matrix is decomposed alone, and one that still
+    fails gets NaN in Q and d: its problem ends as a non-finite iterate and
+    the others go on as if solved alone.
     """
-    w, q = np.linalg.eigh(_symmetric_part(e))
-    om_w = (w + np.sqrt(w * w + 4.0 * t)) / (2.0 * t)
-    omega = _symmetric_part((q * om_w[:, None, :]) @ q.transpose(0, 2, 1))
-    return omega, q, om_w
+    e = _symmetric_part(e)
+    try:
+        w, q = np.linalg.eigh(e)
+    except np.linalg.LinAlgError:
+        w, q = np.empty(e.shape[:2]), np.empty_like(e)
+        for j, m in enumerate(e):
+            try:
+                w[j], q[j] = np.linalg.eigh(m)
+            except np.linalg.LinAlgError:
+                w[j], q[j] = np.nan, np.nan
+    return q, (w + np.sqrt(w * w + 4.0 * t)) / (2.0 * t)
 
 
 def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
@@ -362,8 +373,13 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     update is the standard log-determinant proximal step in simple mode; in
     qda mode the same proximal step solves the subproblem exactly after a
     change of variables Theta = L' Omega L, where L L' = B B' (the
-    subproblem's quadratic term is the B B'-weighted Frobenius norm). The Z
-    update soft thresholds off-diagonal entries; the penalty parameter is
+    subproblem's quadratic term is the B B'-weighted Frobenius norm). The
+    qda-mode loop stays in these whitened coordinates: with P = L^-1 B and
+    L^-1 S L^-T fixed per problem, the step is one eigendecomposition
+    Theta = Q diag(d) Q' of rho P (Z - U) P' - L^-1 S L^-T, and
+    B' Omega B = P' Theta P = W' diag(d) W with W = Q' P; Omega =
+    L^-T Theta L^-1 is formed only for the converged iterate. The Z update
+    soft thresholds off-diagonal entries; the penalty parameter is
     rebalanced (x2 / /2) whenever the primal/dual residual ratio exceeds 10.
 
     Accepts singular (PSD) sample covariances, which is what makes the
@@ -382,16 +398,31 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     return fit
 
 
+class _MryProblem(NamedTuple):
+    """One problem of mry_batch: what its loop stacks (the loop's S, P, B,
+    and the first Z and U), what only its estimate needs, and its first rho.
+    In qda mode L L' = B B', P = L^-1 B (``white``) and the loop's S is
+    L^-1 S L^-T; in simple mode the loop's S is S and the rest is None."""
+
+    s: np.ndarray
+    white: np.ndarray | None
+    b: np.ndarray | None
+    z: np.ndarray
+    u: np.ndarray
+    l_fac: np.ndarray | None
+    l_inv: np.ndarray | None
+    rho: float
+
+
 def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
-               lam: float):
-    """(S, B, L, L^-1, first Z, first U, first rho) of one problem; L L' =
-    B B' (qda mode)."""
+               lam: float) -> _MryProblem:
+    """One problem's constants and first iterate, its warm start checked."""
     if not (warm_start is None or isinstance(warm_start, AdmmState)):
         raise InvalidInputError("a warm start must be an AdmmState or None, "
                                 f"got {type(warm_start).__name__}")
     s = symmetrize(cs.cov)
     p = s.shape[0]
-    b = l_fac = l_inv = None
+    s_loop, white, b, l_fac, l_inv = s, None, None, None, None
     if spec.mry_penalty == "qda":
         mean = np.asarray(cs.mean, dtype=float)
         if spec.mry_standardize_mean:
@@ -401,37 +432,46 @@ def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
         b = np.column_stack([mean, spec.mry_gamma * np.eye(p)])  # (p, p+1)
         l_fac = spd_cholesky(b @ b.T)
         l_inv = solve_triangular(l_fac, np.eye(p), lower=True)
+        white = l_inv @ b
+        s_loop = _symmetric_part(l_inv @ s @ l_inv.T)
     if warm_start is not None:
         m = p if b is None else p + 1
         if warm_start.z.shape != (m, m) or warm_start.u.shape != (m, m):
             raise InvalidInputError(
                 f"warm-start state must be {m}x{m} for this problem")
         # rho * U rescaled by lam / lam_old stays a subgradient of lam |Z|_1
-        return (s, b, l_fac, l_inv, warm_start.z,
-                warm_start.u * (lam / warm_start.lam), warm_start.rho)
+        z, u = warm_start.z, warm_start.u * (lam / warm_start.lam)
+        return _MryProblem(s_loop, white, b, z, u, l_fac, l_inv,
+                           warm_start.rho)
     omega = np.diag(1.0 / np.maximum(np.diag(s), 1e-8))
     z = omega.copy() if b is None else symmetrize(b.T @ omega @ b)
-    return s, b, l_fac, l_inv, z, np.zeros_like(z), 1.0
+    return _MryProblem(s_loop, white, b, z, np.zeros_like(z), l_fac, l_inv,
+                       1.0)
 
 
-def _mry_estimate(cs, spec, lam, setup, z, u, rho, omega, q, d, primal, it):
-    """The estimate of a converged problem; rho * u is its dual."""
-    s, b, l_fac = setup[:3]
-    # Omega^-1 (Theta^-1 in qda mode) from the last proximal step
+def _mry_estimate(cs, spec, lam, problem, z, u, rho, q, d, primal, it):
+    """The estimate of a converged problem from its last proximal step
+    X = Q diag(d) Q' (Omega in simple mode, Theta in qda mode); rho * u is
+    its dual."""
+    qda = problem.b is not None
     omega_inv = _symmetric_part((q / d) @ q.T)
     coefs = {"lambda": lam}
     y = rho * u
-    if b is not None:
+    if qda:
+        l_fac, b = problem.l_fac, problem.b
         omega_inv = _symmetric_part(l_fac @ omega_inv @ l_fac.T)
         y = b @ y @ b.T
         coefs["gamma"] = float(spec.mry_gamma)
     # KKT stationarity with the converged (unscaled) dual rho * U; the
     # Z-step makes rho * U an exact subgradient of lambda * |Z|_1.
-    kkt = max(float(np.max(np.abs(s - omega_inv + y))), primal)
-    out = _symmetric_part(z if b is None else omega)
-    repaired = bool(b is None and np.linalg.eigvalsh(out)[0] <= 0)
-    if repaired:
-        out = _symmetric_part(omega)
+    kkt = max(float(np.max(np.abs(cs.cov - omega_inv + y))), primal)
+    # simple mode returns the sparse iterate Z unless it is not SPD
+    out = None if qda else _symmetric_part(z)
+    repaired = not qda and bool(np.linalg.eigvalsh(out)[0] <= 0)
+    if out is None or repaired:
+        out = _symmetric_part((q * d) @ q.T)
+        if qda:
+            out = _symmetric_part(problem.l_inv.T @ out @ problem.l_inv)
     return PrecisionEstimate(omega=out, diagnostics=EstimateDiagnostics(
         iterations=it, kkt_residual=kkt, shrinkage_coefficients=coefs,
         repaired=repaired, mean_quadratic=float(cs.mean @ out @ cs.mean)),
@@ -453,6 +493,12 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
     its outcome is bit for bit its solo one. Returns per problem its
     PrecisionEstimate, final state included, or the typed error that ended
     it; errors, raised or returned, name a class.
+
+    Besides one stacked eigendecomposition, an iteration does 6 dense
+    matrix products and 2 symmetrizations per problem in qda mode (P(Z-U),
+    then .P'; W = Q'P; (W' diag(d)) W; B dZ, then .B' for the dual residual;
+    symmetrizing the eigendecomposed matrix and B' Omega B), and 1 product
+    and 2 symmetrizations in simple mode.
     """
     if spec.kind != "mry":
         raise InvalidInputError(f"spec.kind must be 'mry', got {spec.kind!r}")
@@ -474,11 +520,11 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
         except SsdrError as exc:
             exc.attach_class(cs.class_id)
             raise
-    if len({st[4].shape for st in setups}) != 1:
+    if len({st.z.shape for st in setups}) != 1:
         raise InvalidInputError("mry_batch needs problems of one dimension")
-    s, b, _, l_inv, z, u = (None if col[0] is None else np.stack(col)
-                            for col in list(zip(*setups))[:6])
-    rho = [st[6] for st in setups]  # residual balancing adapts each one
+    s, white, b, z, u = (None if col[0] is None else np.stack(col)
+                         for col in list(zip(*setups))[:5])
+    rho = [st.rho for st in setups]  # residual balancing adapts each one
     lam = np.array(lams).reshape(-1, 1, 1)
     outcomes = [None] * len(setups)
     rows = list(range(len(setups)))  # the problem in each row of the stacks
@@ -486,15 +532,16 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
     for it in range(1, max_iters + 1):
         t = np.array(rho).reshape(-1, 1, 1)
         if simple:
-            omega, q, d = _logdet_prox(t * (z - u) - s, t[:, 0])
-            azb = omega
+            q, d = _logdet_prox(t * (z - u) - s, t[:, 0])
+            w = q.transpose(0, 2, 1)
         else:
-            # exact update: rho*Theta - Theta^-1 = L^-1 (rho*B(Z-U)B' - S) L^-T
-            b_t, l_inv_t = b.transpose(0, 2, 1), l_inv.transpose(0, 2, 1)
-            e = l_inv @ (t * (b @ (z - u) @ b_t) - s) @ l_inv_t
-            theta, q, d = _logdet_prox(e, t[:, 0])
-            omega = _symmetric_part(l_inv_t @ theta @ l_inv)
-            azb = _symmetric_part(b_t @ omega @ b)
+            # exact update: rho*Theta - Theta^-1 = rho*P(Z-U)P' - L^-1 S L^-T
+            b_t = b.transpose(0, 2, 1)
+            q, d = _logdet_prox(
+                t * (white @ (z - u) @ white.transpose(0, 2, 1)) - s, t[:, 0])
+            w = q.transpose(0, 2, 1) @ white
+        # Omega = Q diag(d) Q' (simple), or B' Omega B = P' Theta P (qda)
+        azb = _symmetric_part((w.transpose(0, 2, 1) * d[:, None, :]) @ w)
 
         z_prev = z
         z = _soft_threshold_offdiag(azb + u, lam / t)
@@ -513,7 +560,7 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
             elif max(pr, du) < tol:
                 outcomes[i] = _mry_estimate(
                     summaries[i], spec, lams[i], setups[i], z[j], u[j],
-                    rho[j], omega[j], q[j], d[j], pr, it)
+                    rho[j], q[j], d[j], pr, it)
             elif it == max_iters:
                 outcomes[i] = ConvergenceError(
                     f"ADMM did not converge in {max_iters} iterations "
@@ -533,7 +580,7 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
             rows, rho = [rows[j] for j in keep], [rho[j] for j in keep]
             s, z, u, lam = s[keep], z[keep], u[keep], lam[keep]
             if not simple:
-                b, l_inv = b[keep], l_inv[keep]
+                b, white = b[keep], white[keep]
     return outcomes
 
 

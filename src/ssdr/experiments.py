@@ -5,14 +5,16 @@ A work unit (a Monte Carlo replicate, or a CV repeat of k folds)
 studentizes each training/test split if the pipeline asks
 (``_studentized``) and hands its splits to ``_split_cers``, the one path
 from splits to rates: it tunes the MRY penalty of every training set of the
-unit in one ``tune_lambda`` call if asked, and then, per split, summarizes
-the training part once, builds the discriminant matrix, extracts the
-projection basis once, and records for each r the estimated conditional
-error rate of plain QDA on the class summaries rotated onto the basis,
-applied to the projected test data. One Cholesky factorization per class
-serves every r of the sweep (see ``_sweep_cers``). The full-feature QDA
-error is always recorded as a baseline under the method name "qda_full";
-``_study_report`` turns the per-unit results into a CerReport. Penalty
+unit in one ``tune_lambda`` call if asked, and then, per split, builds the
+discriminant matrix, extracts the projection basis once, and records for
+each r the estimated conditional error rate of plain QDA on the class
+summaries rotated onto the basis, applied to the projected test data. One
+Cholesky factorization per class serves every r of the sweep (see
+``_sweep_cers``). The full-feature QDA error is always recorded as a
+baseline under the method name "qda_full"; ``_study_report`` turns the
+per-unit results into a CerReport. A split (``_Split``) summarizes its
+training part once, for the tuning grid, the final fit and the baseline;
+pipelines that do not studentize share the unit's raw split. Penalty
 tuning summarizes each tuning split once, solves candidate k of every
 training set as one ``mry_batch`` over every (set, split, class) problem,
 each solve resuming the final ADMM state of its solve at the previous
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -231,11 +234,25 @@ def _stream(seed: int, *spawn_key) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
-def _full_qda_cer(train: LabeledDataset, test: LabeledDataset) -> float | None:
+@dataclass(frozen=True)
+class _Split:
+    """A training/test split of a work unit. Its training part is
+    summarized once, on first use, for every consumer of the split: the
+    tuning grid, the final fit and the qda_full baseline."""
+
+    train: LabeledDataset
+    test: LabeledDataset | None
+
+    @cached_property
+    def summaries(self) -> list:
+        return summarize(self.train)
+
+
+def _full_qda_cer(split: _Split) -> float | None:
     """Full-feature sample-inverse QDA error; None when the fit fails."""
     try:
         return qda.conditional_error_rate(
-            qda.fit(summarize(train), _SAMPLE_SPEC), test)
+            qda.fit(split.summaries, _SAMPLE_SPEC), split.test)
     except SsdrError:
         return None
 
@@ -288,14 +305,14 @@ def _sweep_cers(summaries, test: LabeledDataset, u_full: np.ndarray,
     return {r: float(misses[r - 1] / test.n) if r <= q else None for r in dims}
 
 
-def _studentized(train: LabeledDataset, test: LabeledDataset,
-                 pipeline: PipelineSpec):
-    """The split as ``pipeline`` sees it: studentized on the training part
-    when it asks, None when the training part cannot be studentized."""
+def _studentized(split: _Split, pipeline: PipelineSpec):
+    """The split as ``pipeline`` sees it: the same split, or a new one
+    studentized on the training part when it asks, None when the training
+    part cannot be studentized."""
     if not pipeline.standardize:
-        return train, test
+        return split
     try:
-        return standardize(train, test)
+        return _Split(*standardize(split.train, split.test))
     except SsdrError:
         return None
 
@@ -304,8 +321,8 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
                 inner_folds: int | None = None) -> list:
     """Each split's error per r in dims for one pipeline.
 
-    ``splits`` are a work unit's (train, test) pairs as the pipeline sees
-    them (``_studentized``), None where the training part could not be
+    ``splits`` are a work unit's splits as the pipeline sees them
+    (``_studentized``), None where the training part could not be
     studentized; ``rngs`` holds one generator per split, which draws the
     split's tuning splits. A tuning MRY pipeline first tunes the penalty of
     every usable training set in one ``tune_lambda`` call. Then, per split,
@@ -318,7 +335,7 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
     specs = dict.fromkeys(usable, spec)
     if spec.kind == "mry" and pipeline.tune_mry_lambda:
         try:
-            tuned = tune_lambda([splits[i][0] for i in usable], pipeline,
+            tuned = tune_lambda([splits[i] for i in usable], pipeline,
                                 [rngs[i] for i in usable], inner_folds)
         except SsdrError as exc:  # a set-up error shared by every set
             tuned = [exc] * len(usable)
@@ -326,12 +343,11 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
                  if not isinstance(lam, SsdrError)}
     out = [dict.fromkeys(dims) for _ in splits]
     for i, fit_spec in specs.items():
-        train, test = splits[i]
+        split = splits[i]
         try:
-            summaries = summarize(train)
             u_full, _, _ = svd_full(
-                build_discriminant_matrix(summaries, fit_spec))
-            out[i] = _sweep_cers(summaries, test, u_full, dims)
+                build_discriminant_matrix(split.summaries, fit_spec))
+            out[i] = _sweep_cers(split.summaries, split.test, u_full, dims)
         except SsdrError:
             pass  # every r stays missing
     return out
@@ -413,11 +429,12 @@ class _TuningSplit:
         self.scores = {}  # candidate -> best-over-r error, None if it failed
 
 
-def _tuning_set(train: LabeledDataset, pipeline: PipelineSpec,
+def _tuning_set(split: _Split, pipeline: PipelineSpec,
                 rng: np.random.Generator, inner_folds: int | None):
     """(dims, ascending grid, tuning splits) of one training set."""
+    train = split.train
     dims = pipeline.resolved_dims(train.p)
-    grid = lambda_grid(summarize(train))
+    grid = lambda_grid(split.summaries)
     if inner_folds is None:
         splits = [_TuningSplit(train, _holdout_mask(train, rng))]
     else:
@@ -444,10 +461,11 @@ def _selected_lambda(grid, splits):
     return best_lam
 
 
-def tune_lambda(trains, pipeline: PipelineSpec, rngs,
+def tune_lambda(splits, pipeline: PipelineSpec, rngs,
                 inner_folds: int | None = None) -> list:
-    """Select the MRY penalty of each training set by validation error over
-    its ``lambda_grid``.
+    """Select the MRY penalty of the training set of each of ``splits``
+    (``_Split``; the test parts are not read) by validation error over its
+    ``lambda_grid``.
 
     With ``inner_folds`` None, each candidate is fitted on a per-class
     training split of the set and scored by its best-over-r error on the
@@ -474,9 +492,9 @@ def tune_lambda(trains, pipeline: PipelineSpec, rngs,
                            _TUNING_ADMM_MAX_ITERS),
     )
     sets = []
-    for train, rng in zip(trains, rngs, strict=True):
+    for split, rng in zip(splits, rngs, strict=True):
         try:
-            sets.append(_tuning_set(train, pipeline, rng, inner_folds))
+            sets.append(_tuning_set(split, pipeline, rng, inner_folds))
         except SsdrError as exc:
             sets.append(exc)
     live = [ts for ts in sets if not isinstance(ts, SsdrError)]
@@ -509,15 +527,16 @@ def _mc_replicate_worker(args) -> dict:
     for mu, cov in zip(cfg.means, cfg.covs):
         pool = _mvn_rows(np.asarray(mu), spd_cholesky(cov), cfg.pool_size, rng)
         pools.append(pool[rng.permutation(cfg.pool_size)])
-    train = LabeledDataset(np.vstack([x[:cfg.n_i] for x in pools]),
-                           np.repeat(np.arange(cfg.k), cfg.n_i))
-    test = LabeledDataset(np.vstack([x[cfg.n_i:] for x in pools]),
-                          np.repeat(np.arange(cfg.k), cfg.pool_size - cfg.n_i))
+    split = _Split(
+        LabeledDataset(np.vstack([x[:cfg.n_i] for x in pools]),
+                       np.repeat(np.arange(cfg.k), cfg.n_i)),
+        LabeledDataset(np.vstack([x[cfg.n_i:] for x in pools]),
+                       np.repeat(np.arange(cfg.k), cfg.pool_size - cfg.n_i)))
 
-    out = {("qda_full", None): _full_qda_cer(train, test)}
+    out = {("qda_full", None): _full_qda_cer(split)}
     for idx, pl in enumerate(pipelines):
         dims = pl.resolved_dims(cfg.p)
-        cers, = _split_cers([_studentized(train, test, pl)], pl,
+        cers, = _split_cers([_studentized(split, pl)], pl,
                             [_stream(cfg.master_seed, _NS_REPLICATE, j, idx)],
                             dims)
         out.update(((pl.name, r), cers[r]) for r in dims)
@@ -589,14 +608,15 @@ def _cv_repeat_worker(args) -> dict:
     ds, pipeline, folds, seed, t, dims, inner_folds = args
     fold_ids = _stratified_fold_ids(ds.labels, folds,
                                     _stream(seed, _NS_CV_REPEAT, t))
-    splits = [_studentized(ds.subset(fold_ids != f), ds.subset(fold_ids == f),
-                           pipeline) for f in range(folds)]
+    splits = [_studentized(_Split(ds.subset(fold_ids != f),
+                                  ds.subset(fold_ids == f)), pipeline)
+              for f in range(folds)]
     fold_cers = _split_cers(
         splits, pipeline, [_stream(seed, _NS_CV_REPEAT, t, f)
                            for f in range(folds)], dims, inner_folds)
     # unlike the Monte Carlo baseline, qda_full sees the studentized fold
     per_fold = {("qda_full", None): [None if split is None
-                                     else _full_qda_cer(*split)
+                                     else _full_qda_cer(split)
                                      for split in splits]}
     per_fold.update(((pipeline.name, r), [cers[r] for cers in fold_cers])
                     for r in dims)

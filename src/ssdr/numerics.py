@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InvalidInputError, NotSpdError
+from .errors import InvalidInputError, NotSpdError, NumericalDomainError
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -65,9 +65,13 @@ def svd_full(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     U's trailing columns beyond the rank form an orthonormal completion of
     the column space; d is the full vector of singular values, descending.
+    Raises NumericalDomainError when LAPACK does not converge.
     """
     m = check_matrix(m)
-    u, d, vt = np.linalg.svd(m, full_matrices=True)
+    try:
+        u, d, vt = np.linalg.svd(m, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError(f"SVD failed: {exc}") from exc
     u, vt = _fix_svd_signs(u, vt)
     return u, d, vt
 
@@ -157,8 +161,13 @@ def sym_eigen(s) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Returns (values, vectors) with ``s ~= vectors @ diag(values) @ vectors.T``
-    within 1e-9 * max(1, ||s||_F) and column-orthonormal vectors.
+    within 1e-9 * max(1, ||s||_F) and column-orthonormal vectors. Raises
+    NumericalDomainError when LAPACK does not converge.
     """
     s = symmetrize(s)
-    w, v = np.linalg.eigh(s)
+    try:
+        w, v = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError(
+            f"eigendecomposition failed: {exc}") from exc
     return w[::-1].copy(), v[:, ::-1].copy()

@@ -271,8 +271,8 @@ class TestMry:
         prox = estimators._logdet_prox
 
         def nan_prox(e, t):
-            omega, q, d = prox(e, t)
-            return np.full_like(omega, np.nan), q, d
+            q, d = prox(e, t)
+            return q, np.full_like(d, np.nan)
 
         monkeypatch.setattr(estimators, "_logdet_prox", nan_prox)
         spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=0.1,
@@ -455,11 +455,11 @@ class TestMryBatch:
         prox, calls = estimators._logdet_prox, []
 
         def nan_in_second_problem(e, t):
-            omega, q, d = prox(e, t)
+            q, d = prox(e, t)
             if not calls:  # the first step of the stack of all three
-                omega[1] = np.nan
+                d[1] = np.nan
             calls.append(len(e))
-            return omega, q, d
+            return q, d
 
         monkeypatch.setattr(estimators, "_logdet_prox", nan_in_second_problem)
         fits = mry_batch(problems, spec)
@@ -468,6 +468,32 @@ class TestMryBatch:
         for i in (0, 2):
             assert fits[i].omega.tobytes() == solos[i].omega.tobytes()
         assert calls[:2] == [3, 2]  # the failed problem left the stack
+
+    @pytest.mark.parametrize("penalty", ["simple", "qda"])
+    def test_failed_eigendecomposition_fails_only_its_problem(
+            self, monkeypatch, penalty):
+        rng = np.random.default_rng(18)
+        problems = [cs_from(random_spd(rng, 3), n=20, class_id=c,
+                            mean=rng.normal(size=3)) for c in range(3)]
+        spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=0.1,
+                                      mry_penalty=penalty)
+        solos = [mry(cs, spec) for cs in problems]
+        eigh, calls = np.linalg.eigh, []
+
+        def flaky_eigh(a):
+            calls.append(len(a) if a.ndim == 3 else None)
+            # the first stacked call fails, then problem 1 retried alone
+            if len(calls) in (1, 3):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", flaky_eigh)
+        fits = mry_batch(problems, spec)
+        assert isinstance(fits[1], NumericalDomainError)
+        assert fits[1].class_id == 1 and "not finite" in str(fits[1])
+        for i in (0, 2):
+            assert _outcome(fits[i]) == _outcome(solos[i])
+        assert calls[:5] == [3, None, None, None, 2]
 
     def test_errors_name_their_class(self):
         rng = np.random.default_rng(14)

@@ -18,6 +18,7 @@ from ssdr.estimators import PrecisionEstimatorSpec, mry
 from ssdr.experiments import (
     _SWEEP_BLOCK_ROWS,
     PipelineSpec,
+    _Split,
     _stratified_fold_ids,
     _sweep_cers,
     lambda_grid,
@@ -39,8 +40,8 @@ _LOGDET_PROX = estimators._logdet_prox
 
 
 def _nan_prox(e, t):
-    omega, q, d = _LOGDET_PROX(e, t)
-    return np.full_like(omega, np.nan), q, d
+    q, d = _LOGDET_PROX(e, t)
+    return q, np.full_like(d, np.nan)
 
 
 def _serial_grid_scores(sub, val, pipeline, grid, failures):
@@ -96,7 +97,7 @@ def _select_lambda(grid, per_split):
 def _tune_one(ds, pipeline, rng, inner_folds=None):
     """``tune_lambda`` on one training set: its penalty, or its error
     raised."""
-    lam, = tune_lambda([ds], pipeline, [rng], inner_folds)
+    lam, = tune_lambda([_Split(ds, None)], pipeline, [rng], inner_folds)
     if isinstance(lam, SsdrError):
         raise lam
     return lam
@@ -205,6 +206,33 @@ class TestRunMcStudy:
         pl = PipelineSpec(name="m", dims=(1, 2),
                           estimator=PrecisionEstimatorSpec(
                               kind="mry", mry_penalty="qda", mry_gamma=1e-200))
+        rep = run_mc_study(cfg, [pl], threads=1)
+        assert rep.cell("m", 1).failures == 2
+        assert rep.cell("qda_full", None).failures == 0
+
+    def test_raw_training_set_is_summarized_once(self, monkeypatch):
+        # qda_full and every pipeline that does not studentize share the
+        # replicate's raw split; a studentizing one summarizes its own
+        summarize_, sizes = experiments.summarize, []
+        monkeypatch.setattr(experiments, "summarize",
+                            lambda ds: sizes.append(ds.n) or summarize_(ds))
+        cfg = simulation_config(1, "2p", replicates=1, master_seed=5)
+        pipelines = [PipelineSpec(name=kind, dims=(1, 2),
+                                  estimator=PrecisionEstimatorSpec(kind=kind))
+                     for kind in ("sample_inverse", "haff", "wang")]
+        pipelines.append(PipelineSpec(name="std", estimator=SAMPLE,
+                                      dims=(1, 2), standardize=True))
+        rep = run_mc_study(cfg, pipelines, threads=1)
+        assert not rep.has_failures()
+        assert sizes == [2 * cfg.n_i] * 2
+
+    def test_svd_failure_recorded_not_fatal(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        cfg = simulation_config(1, "2p", replicates=2, master_seed=7)
+        pl = PipelineSpec(name="m", estimator=SAMPLE, dims=(1, 2))
         rep = run_mc_study(cfg, [pl], threads=1)
         assert rep.cell("m", 1).failures == 2
         assert rep.cell("qda_full", None).failures == 0
@@ -375,6 +403,22 @@ class TestRepeatedKfoldCv:
         out = experiments._cv_repeat_worker((ds, pl, 3, 0, 0, (1, 2), 3))
         assert out[("m", 1)] is not None and out[("m", 2)] is not None
         assert widths and set(widths) == {4}
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_each_training_fold_is_summarized_once(self, monkeypatch,
+                                                   standardize):
+        # the tuning grid, the final fit and qda_full share a fold's
+        # summaries; a studentizing repeat never summarizes the raw fold
+        summarize_, sizes = experiments.summarize, []
+        monkeypatch.setattr(experiments, "summarize",
+                            lambda ds: sizes.append(ds.n) or summarize_(ds))
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 3)
+        ds = blobs(np.random.default_rng(21), n_per=30, p=4, k=3, spread=3.0)
+        pl = PipelineSpec(name="m", dims=(1, 2), standardize=standardize,
+                          estimator=PrecisionEstimatorSpec(kind="mry"))
+        experiments._cv_repeat_worker((ds, pl, 3, 0, 0, (1, 2), 3))
+        # three training folds of 60 rows, and three inner splits of each
+        assert sizes.count(60) == 3 and len(sizes) == 3 + 3 * 3
 
     def test_rotation_invariance_at_full_dimension(self):
         rng = np.random.default_rng(13)
@@ -636,10 +680,12 @@ class TestTuneLambda:
         monkeypatch.setattr(experiments, "lambda_grid", grid)
         monkeypatch.setattr(experiments, "_candidate_score", spy_score)
         together = tune_lambda(
-            trains, pl, [np.random.default_rng(100 + i)
-                         for i in range(len(trains))], inner_folds=3)
+            [_Split(train, None) for train in trains], pl,
+            [np.random.default_rng(100 + i) for i in range(len(trains))],
+            inner_folds=3)
         seen_together, seen = seen, {}
-        alone = [tune_lambda([train], pl, [np.random.default_rng(100 + i)],
+        alone = [tune_lambda([_Split(train, None)], pl,
+                             [np.random.default_rng(100 + i)],
                              inner_folds=3)[0]
                  for i, train in enumerate(trains)]
         assert list(map(outcome, together)) == list(map(outcome, alone))
@@ -667,7 +713,7 @@ class TestTuneLambda:
         ds = blobs(rng)
         pl = PipelineSpec(name="m", estimator=SAMPLE, dims=(1,))
         with pytest.raises(InvalidInputError):
-            tune_lambda([ds], pl, [np.random.default_rng(0)])
+            tune_lambda([_Split(ds, None)], pl, [np.random.default_rng(0)])
 
     def test_cv_mode_runs(self, monkeypatch):
         monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 4)

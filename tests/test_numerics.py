@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ssdr.errors import InvalidInputError, NotSpdError
+from ssdr.errors import InvalidInputError, NotSpdError, NumericalDomainError
 from ssdr.numerics import (
     cholesky_prefix,
     reduced_svd,
+    svd_full,
     spd_logdet_and_inverse,
     sym_eigen,
     symmetrize,
@@ -199,3 +200,14 @@ class TestSymEigen:
             err = np.linalg.norm(recon - s)
             assert err <= 1e-9 * max(1.0, np.linalg.norm(s))
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(p), atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel, lapack_name", [
+    (svd_full, "svd"), (sym_eigen, "eigh")])
+def test_lapack_failure_is_typed(monkeypatch, kernel, lapack_name):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, lapack_name, no_convergence)
+    with pytest.raises(NumericalDomainError, match="did not converge"):
+        kernel(np.eye(3))
