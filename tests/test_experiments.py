@@ -420,6 +420,37 @@ class TestRepeatedKfoldCv:
         # three training folds of 60 rows, and three inner splits of each
         assert sizes.count(60) == 3 and len(sizes) == 3 + 3 * 3
 
+    # Per-repeat rates, [qda_full, r = 1, 2, 3, 4], of a tuned simple-MRY CV
+    # study with studentizing, jitter and inner folds on _golden_cv_set. A
+    # change that moves only roundoff keeps every one.
+    GOLDEN_RATES = [
+        [0.019047619047619046, 0.3047619047619047, 0.18095238095238092,
+         0.1619047619047619, 0.019047619047619046],
+        [0.019047619047619046, 0.34285714285714286, 0.17142857142857143,
+         0.15238095238095237, 0.019047619047619046],
+    ]
+
+    @staticmethod
+    def _golden_cv_set():
+        rng = np.random.default_rng(20241020)
+        feats, labels = [], []
+        for c, (n, shift) in enumerate(zip((40, 30, 35), (0.0, 1.5, -1.0))):
+            scale = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
+            feats.append(rng.normal(size=(n, 4)) @ scale + shift * np.arange(4))
+            labels.append(np.full(n, c))
+        return LabeledDataset(np.vstack(feats), np.concatenate(labels))
+
+    def test_tuned_mry_cv_rates_are_pinned(self):
+        pl = PipelineSpec(name="m", standardize=True,
+                          estimator=PrecisionEstimatorSpec(kind="mry"))
+        rep = repeated_kfold_cv(self._golden_cv_set(), pl, folds=5,
+                                repeats=2, seed=31, threads=1, inner_folds=3,
+                                jitter_sigma=1e-5)
+        cells = [rep.cell("qda_full", None)] + [
+            rep.cell("m", r) for r in range(1, 5)]
+        assert [[cell.rates[j] for cell in cells] for j in range(2)] == \
+            self.GOLDEN_RATES
+
     def test_rotation_invariance_at_full_dimension(self):
         rng = np.random.default_rng(13)
         ds = blobs(rng, n_per=50, p=4, spread=2.0)
