@@ -258,8 +258,12 @@ def wang(cs: ClassSummary, grid_size: int = 1000) -> PrecisionEstimate:
 
 
 def _trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values (for symmetric input: sum of |eigenvalues|)."""
-    return float(np.abs(np.linalg.eigvalsh(symmetrize(a))).sum())
+    """Sum of singular values (for symmetric input: sum of |eigenvalues|).
+    Raises NumericalDomainError when LAPACK does not converge."""
+    try:
+        return float(np.abs(np.linalg.eigvalsh(symmetrize(a))).sum())
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError(f"trace norm failed: {exc}") from exc
 
 
 def bodnar(cs: ClassSummary, target="identity",
@@ -342,7 +346,8 @@ def _norms(a: np.ndarray) -> list:
 
 def _logdet_prox(e: np.ndarray, t: np.ndarray):
     """Solve t * X - X^-1 = E for SPD X, per matrix of a stack, as
-    X = Q diag(d) Q' from one symmetric eigendecomposition of E.
+    X = Q diag(d) Q' from one symmetric eigendecomposition of E, which must
+    be exactly symmetric.
 
     ``t`` holds one value per matrix, shape (B, 1). Returns (Q, d); the loop
     forms from them only what it needs. When the stacked eigendecomposition
@@ -350,7 +355,6 @@ def _logdet_prox(e: np.ndarray, t: np.ndarray):
     fails gets NaN in Q and d: its problem ends as a non-finite iterate and
     the others go on as if solved alone.
     """
-    e = _symmetric_part(e)
     try:
         w, q = np.linalg.eigh(e)
     except np.linalg.LinAlgError:
@@ -449,33 +453,67 @@ def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
                        1.0)
 
 
-def _mry_estimate(cs, spec, lam, problem, z, u, rho, q, d, primal, it):
-    """The estimate of a converged problem from its last proximal step
-    X = Q diag(d) Q' (Omega in simple mode, Theta in qda mode); rho * u is
-    its dual."""
-    qda = problem.b is not None
-    omega_inv = _symmetric_part((q / d) @ q.T)
-    coefs = {"lambda": lam}
-    y = rho * u
+def _mry_estimates(summaries, spec, lams, setups, converged):
+    """(problem, estimate or typed error) of each converged problem, built
+    in one stacked pass from its last proximal step X = Q diag(d) Q'
+    (Omega in simple mode, Theta in qda mode), its Z and its U; rho * U is
+    its dual.
+
+    When the stacked eigenvalues of simple mode's SPD check of Z fail to
+    converge, each Z is checked alone, and one that still fails ends its
+    problem with NumericalDomainError.
+    """
+    idx, q, d, z, u, rho, primal, iters = zip(*converged)
+    q, d = np.stack(q), np.stack(d)[:, None, :]
+    q_t = q.transpose(0, 2, 1)
+    qda = setups[idx[0]].b is not None
+    omega_inv = _symmetric_part((q / d) @ q_t)
+    y = np.array(rho).reshape(-1, 1, 1) * np.stack(u)
+    gamma = {}
     if qda:
-        l_fac, b = problem.l_fac, problem.b
-        omega_inv = _symmetric_part(l_fac @ omega_inv @ l_fac.T)
-        y = b @ y @ b.T
-        coefs["gamma"] = float(spec.mry_gamma)
+        l_fac, b, l_inv = (np.stack([getattr(setups[i], name) for i in idx])
+                           for name in ("l_fac", "b", "l_inv"))
+        omega_inv = _symmetric_part(
+            l_fac @ omega_inv @ l_fac.transpose(0, 2, 1))
+        y = b @ y @ b.transpose(0, 2, 1)
+        gamma = {"gamma": float(spec.mry_gamma)}
     # KKT stationarity with the converged (unscaled) dual rho * U; the
     # Z-step makes rho * U an exact subgradient of lambda * |Z|_1.
-    kkt = max(float(np.max(np.abs(cs.cov - omega_inv + y))), primal)
-    # simple mode returns the sparse iterate Z unless it is not SPD
-    out = None if qda else _symmetric_part(z)
-    repaired = not qda and bool(np.linalg.eigvalsh(out)[0] <= 0)
-    if out is None or repaired:
-        out = _symmetric_part((q * d) @ q.T)
-        if qda:
-            out = _symmetric_part(problem.l_inv.T @ out @ problem.l_inv)
-    return PrecisionEstimate(omega=out, diagnostics=EstimateDiagnostics(
-        iterations=it, kkt_residual=kkt, shrinkage_coefficients=coefs,
-        repaired=repaired, mean_quadratic=float(cs.mean @ out @ cs.mean)),
-        state=AdmmState(z=z.copy(), u=u.copy(), rho=rho, lam=lam))
+    cov = np.stack([summaries[i].cov for i in idx])
+    kkt = np.max(np.abs(cov - omega_inv + y), axis=(1, 2)).tolist()
+    repaired = failed = np.zeros(len(idx), dtype=bool)
+    if qda:
+        out = _symmetric_part((q * d) @ q_t)
+        out = _symmetric_part(l_inv.transpose(0, 2, 1) @ out @ l_inv)
+    else:
+        # simple mode returns the sparse iterate Z unless it is not SPD
+        out = _symmetric_part(np.stack(z))
+        try:
+            lowest = np.linalg.eigvalsh(out)[:, 0]
+        except np.linalg.LinAlgError:
+            lowest = np.empty(len(out))
+            for j, m in enumerate(out):
+                try:
+                    lowest[j] = np.linalg.eigvalsh(m)[0]
+                except np.linalg.LinAlgError:
+                    lowest[j] = np.nan
+        failed, repaired = np.isnan(lowest), lowest <= 0
+        if repaired.any():
+            out[repaired] = _symmetric_part(
+                (q[repaired] * d[repaired]) @ q_t[repaired])
+    mean = np.stack([summaries[i].mean for i in idx])
+    quad = (mean[:, None, :] @ out @ mean[:, :, None]).ravel().tolist()
+    for j, i in enumerate(idx):
+        if failed[j]:
+            yield i, NumericalDomainError(
+                "eigenvalues of the estimate did not converge",
+                class_id=summaries[i].class_id)
+            continue
+        yield i, PrecisionEstimate(omega=out[j], diagnostics=EstimateDiagnostics(
+            iterations=iters[j], kkt_residual=max(kkt[j], primal[j]),
+            shrinkage_coefficients={"lambda": lams[i], **gamma},
+            repaired=bool(repaired[j]), mean_quadratic=quad[j]),
+            state=AdmmState(z=z[j], u=u[j], rho=rho[j], lam=lams[i]))
 
 
 def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
@@ -498,7 +536,12 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
     matrix products and 2 symmetrizations per problem in qda mode (P(Z-U),
     then .P'; W = Q'P; (W' diag(d)) W; B dZ, then .B' for the dual residual;
     symmetrizing the eigendecomposed matrix and B' Omega B), and 1 product
-    and 2 symmetrizations in simple mode.
+    and 1 symmetrization in simple mode, whose eigendecomposed matrix
+    rho (Z - U) - S is exactly symmetric as it stands. A problem that
+    converges leaves a copy of its Q, d, Z and U; after the loop the
+    estimates of all of them (Omega, the KKT residual, simple mode's SPD
+    check of Z, mean' Omega mean and the state) are built in one stacked
+    pass (``_mry_estimates``).
     """
     if spec.kind != "mry":
         raise InvalidInputError(f"spec.kind must be 'mry', got {spec.kind!r}")
@@ -527,18 +570,20 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
     rho = [st.rho for st in setups]  # residual balancing adapts each one
     lam = np.array(lams).reshape(-1, 1, 1)
     outcomes = [None] * len(setups)
+    converged = []  # (problem, Q, d, Z, U, rho, primal, iterations)
     rows = list(range(len(setups)))  # the problem in each row of the stacks
 
     for it in range(1, max_iters + 1):
         t = np.array(rho).reshape(-1, 1, 1)
         if simple:
+            # Z, U and S are exactly symmetric, and so is E elementwise
             q, d = _logdet_prox(t * (z - u) - s, t[:, 0])
             w = q.transpose(0, 2, 1)
         else:
             # exact update: rho*Theta - Theta^-1 = rho*P(Z-U)P' - L^-1 S L^-T
             b_t = b.transpose(0, 2, 1)
-            q, d = _logdet_prox(
-                t * (white @ (z - u) @ white.transpose(0, 2, 1)) - s, t[:, 0])
+            q, d = _logdet_prox(_symmetric_part(
+                t * (white @ (z - u) @ white.transpose(0, 2, 1)) - s), t[:, 0])
             w = q.transpose(0, 2, 1) @ white
         # Omega = Q diag(d) Q' (simple), or B' Omega B = P' Theta P (qda)
         azb = _symmetric_part((w.transpose(0, 2, 1) * d[:, None, :]) @ w)
@@ -558,9 +603,8 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
                     f"ADMM iterate is not finite at iteration {it}",
                     class_id=cid)
             elif max(pr, du) < tol:
-                outcomes[i] = _mry_estimate(
-                    summaries[i], spec, lams[i], setups[i], z[j], u[j],
-                    rho[j], q[j], d[j], pr, it)
+                converged.append((i, q[j].copy(), d[j].copy(), z[j].copy(),
+                                  u[j].copy(), rho[j], pr, it))
             elif it == max_iters:
                 outcomes[i] = ConvergenceError(
                     f"ADMM did not converge in {max_iters} iterations "
@@ -581,6 +625,9 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
             s, z, u, lam = s[keep], z[keep], u[keep], lam[keep]
             if not simple:
                 b, white = b[keep], white[keep]
+    if converged:
+        for i, fit in _mry_estimates(summaries, spec, lams, setups, converged):
+            outcomes[i] = fit
     return outcomes
 
 

@@ -6,20 +6,23 @@ studentizes each training/test split if the pipeline asks
 (``_studentized``) and hands its splits to ``_split_cers``, the one path
 from splits to rates: it tunes the MRY penalty of every training set of the
 unit in one ``tune_lambda`` call if asked, and then, per split, builds the
-discriminant matrix, extracts the projection basis once, and records for
-each r the estimated conditional error rate of plain QDA on the class
-summaries rotated onto the basis, applied to the projected test data. One
-Cholesky factorization per class serves every r of the sweep (see
-``_sweep_cers``). The full-feature QDA error is always recorded as a
-baseline under the method name "qda_full"; ``_study_report`` turns the
-per-unit results into a CerReport. A split (``_Split``) summarizes its
-training part once, for the tuning grid, the final fit and the baseline;
-pipelines that do not studentize share the unit's raw split. Penalty
-tuning summarizes each tuning split once, solves candidate k of every
-training set as one ``mry_batch`` over every (set, split, class) problem,
-each solve resuming the final ADMM state of its solve at the previous
-candidate, and repeats only the discriminant matrix -> SVD -> sweep steps
-per candidate (``_candidate_score``).
+discriminant matrix; one stacked SVD (``_bases``) gives every split its
+projection basis, and one ``_sweep_cers`` pass records for each split and
+r the estimated conditional error rate of plain QDA on the class summaries
+rotated onto the basis, applied to the projected test data. One Cholesky
+factorization per class serves every r of the sweep. The full-feature QDA
+error is always recorded as a baseline under the method name "qda_full";
+``_study_report`` turns the per-unit results into a CerReport. A split
+(``_Split``) summarizes its training part once, for the tuning grid, the
+final fit and the baseline; pipelines that do not studentize share the
+unit's raw split. Penalty tuning summarizes each tuning split once, solves
+candidate k of every training set as one ``mry_batch`` over every (set,
+split, class) problem, each solve resuming the final ADMM state of its
+solve at the previous candidate, and scores candidate k of every (set,
+split) job in one stacked pass: one ``discriminant_matrix_from`` over the
+stack, one ``_bases`` SVD and one ``_sweep_cers``. Every stacked step gives
+each job its result alone bit for bit, and a job that fails (a non-finite
+matrix, an SVD that does not converge, a failed pivot) fails alone.
 
 Reproducibility contract: every work unit (replicate, repeat, tuning split)
 derives its RNG stream from the master seed and the unit index via
@@ -29,6 +32,7 @@ identical for any parallelism degree.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -257,12 +261,30 @@ def _full_qda_cer(split: _Split) -> float | None:
         return None
 
 
-def _sweep_cers(summaries, test: LabeledDataset, u_full: np.ndarray,
-                dims) -> dict:
-    """Reduced-QDA error per r in dims, from one factorization per class.
+def _bases(mhats) -> list:
+    """The sign-fixed U of each discriminant matrix of a (J, p, s) stack,
+    from one stacked SVD; None for a matrix that is not finite or whose SVD
+    does not converge. When the stacked SVD fails, each matrix is retried
+    alone, so one matrix cannot fail another."""
+    try:
+        return list(svd_full(mhats)[0])
+    except SsdrError:
+        pass
+    bases = []
+    for mhat in mhats:
+        try:
+            bases.append(svd_full(mhat)[0])
+        except SsdrError:
+            bases.append(None)
+    return bases
 
-    Each class summary is rotated onto B, the first max(dims) columns of
-    u_full, as mean B and B' S B, not re-estimated from projected rows; the
+
+def _sweep_cers(jobs, dims) -> list:
+    """Reduced-QDA error per r in dims of each job (summaries, test, U), in
+    one pass over every job; None for a job whose U is None.
+
+    Each class summary is rotated onto B, the first max(dims) columns of its
+    job's U, as mean B and B' S B, not re-estimated from projected rows; the
     moments for dimension r are their leading r x r block, and the Cholesky
     factor L_r of a leading block is the leading block of the full factor L.
     One triangular solve L z = x - mean per class and test row therefore
@@ -275,34 +297,56 @@ def _sweep_cers(summaries, test: LabeledDataset, u_full: np.ndarray,
     so every larger block is exactly singular and only roundoff would decide
     whether its pivot passes. An r past any class's prefix is missing
     (None), as a singular projected covariance is for qda.fit.
+
+    The moments of every (job, class) are rotated by one stacked product;
+    each rotated covariance is factored alone, and test rows are solved per
+    job and class in blocks of _SWEEP_BLOCK_ROWS. A job's result is the one
+    it gets alone, bit for bit.
     """
-    basis = u_full[:, :max(dims)]
-    q = basis.shape[1]
-    factors = []
-    for cs in summaries:
-        chol, valid = cholesky_prefix(basis.T @ cs.cov @ basis)
-        q = min(q, valid, cs.n_i - 1)
-        factors.append(chol)
-    consts = [2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
-              - 2.0 * np.log(cs.prior) for cs, chol in zip(summaries, factors)]
-    rot_means = [(cs.mean @ basis)[:q] for cs in summaries]
-    rot_test = (test.features @ basis)[:, :q]
-    misses = np.zeros(q, dtype=np.int64)
-    for start in range(0, test.n, _SWEEP_BLOCK_ROWS):
-        rows = slice(start, start + _SWEEP_BLOCK_ROWS)
-        best = pred = None
-        for cs, mean, chol, const in zip(summaries, rot_means, factors, consts):
-            z = solve_triangular(chol[:q, :q], (rot_test[rows] - mean).T,
-                                 lower=True, check_finite=False)
-            score = np.cumsum(z * z, axis=0) + const[:, None]
-            if best is None:
-                best, pred = score, np.full(score.shape, cs.class_id)
-            else:
-                better = score < best
-                np.copyto(best, score, where=better)
-                pred[better] = cs.class_id
-        misses += np.count_nonzero(pred != test.labels[rows], axis=1)
-    return {r: float(misses[r - 1] / test.n) if r <= q else None for r in dims}
+    live = [job for job in jobs if job[2] is not None]
+    if not live:
+        return [None] * len(jobs)
+    m = max(dims)
+    owner = np.repeat(np.arange(len(live)), [len(job[0]) for job in live])
+    bases = np.stack([u[:, :m] for _, _, u in live])[owner]
+    classes = [cs for summaries, _, _ in live for cs in summaries]
+    rot_covs = (bases.transpose(0, 2, 1)
+                @ np.stack([cs.cov for cs in classes]) @ bases)
+    rot_means = (np.stack([cs.mean for cs in classes])[:, None, :]
+                 @ bases)[:, 0, :]
+    moments = iter(zip(classes, rot_means, map(cholesky_prefix, rot_covs)))
+    out = []
+    for summaries, test, u in jobs:
+        if u is None:
+            out.append(None)
+            continue
+        q, parts = m, []
+        for cs, mean, (chol, valid) in itertools.islice(moments, len(summaries)):
+            q = min(q, valid, cs.n_i - 1)
+            parts.append((cs.class_id, mean, chol))
+        consts = [2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
+                  - 2.0 * np.log(cs.prior) for cs, (_, _, chol)
+                  in zip(summaries, parts)]
+        rot_test = (test.features @ u[:, :m])[:, :q]
+        misses = np.zeros(q, dtype=np.int64)
+        for start in range(0, test.n, _SWEEP_BLOCK_ROWS):
+            rows = slice(start, start + _SWEEP_BLOCK_ROWS)
+            best = pred = None
+            for (class_id, mean, chol), const in zip(parts, consts):
+                z = solve_triangular(chol[:q, :q],
+                                     (rot_test[rows] - mean[:q]).T,
+                                     lower=True, check_finite=False)
+                score = np.cumsum(z * z, axis=0) + const[:, None]
+                if best is None:
+                    best, pred = score, np.full(score.shape, class_id)
+                else:
+                    better = score < best
+                    np.copyto(best, score, where=better)
+                    pred[better] = class_id
+            misses += np.count_nonzero(pred != test.labels[rows], axis=1)
+        out.append({r: float(misses[r - 1] / test.n) if r <= q else None
+                    for r in dims})
+    return out
 
 
 def _studentized(split: _Split, pipeline: PipelineSpec):
@@ -326,9 +370,10 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
     studentized; ``rngs`` holds one generator per split, which draws the
     split's tuning splits. A tuning MRY pipeline first tunes the penalty of
     every usable training set in one ``tune_lambda`` call. Then, per split,
-    the class precisions are fitted, the discriminant matrix is built and
-    its basis swept. A split that is None, whose tuning failed or whose fit
-    failed has every r missing.
+    the class precisions are fitted and the discriminant matrix is built;
+    the matrices of all splits share one ``_bases`` SVD and one
+    ``_sweep_cers`` pass. A split that is None, whose tuning failed or whose
+    fit or SVD failed has every r missing.
     """
     spec = pipeline.estimator
     usable = [i for i, split in enumerate(splits) if split is not None]
@@ -341,15 +386,19 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
             tuned = [exc] * len(usable)
         specs = {i: spec.with_lambda(lam) for i, lam in zip(usable, tuned)
                  if not isinstance(lam, SsdrError)}
-    out = [dict.fromkeys(dims) for _ in splits]
+    fitted = {}
     for i, fit_spec in specs.items():
-        split = splits[i]
         try:
-            u_full, _, _ = svd_full(
-                build_discriminant_matrix(split.summaries, fit_spec))
-            out[i] = _sweep_cers(split.summaries, split.test, u_full, dims)
+            fitted[i] = build_discriminant_matrix(splits[i].summaries, fit_spec)
         except SsdrError:
             pass  # every r stays missing
+    out = [dict.fromkeys(dims) for _ in splits]
+    if fitted:
+        bases = _bases(np.stack(list(fitted.values())))
+        swept = _sweep_cers([(splits[i].summaries, splits[i].test, u)
+                             for i, u in zip(fitted, bases)], dims)
+        for i, cers in zip(fitted, swept):
+            out[i] = cers or out[i]
     return out
 
 
@@ -406,19 +455,6 @@ def _stratified_fold_ids(labels: np.ndarray, folds: int,
     return assign
 
 
-def _candidate_score(val: LabeledDataset, summaries, omegas, dims) -> float | None:
-    """Best-over-r validation error of one candidate's class precisions."""
-    try:
-        mhat = discriminant_matrix_from(
-            [cs.mean for cs in summaries], [cs.cov for cs in summaries], omegas)
-        u_full, _, _ = svd_full(mhat)
-        cers = _sweep_cers(summaries, val, u_full, dims)
-    except SsdrError:
-        return None
-    vals = [v for v in cers.values() if v is not None]
-    return min(vals) if vals else None
-
-
 class _TuningSplit:
     """One training/validation split of a set being tuned."""
 
@@ -431,9 +467,8 @@ class _TuningSplit:
 
 def _tuning_set(split: _Split, pipeline: PipelineSpec,
                 rng: np.random.Generator, inner_folds: int | None):
-    """(dims, ascending grid, tuning splits) of one training set."""
+    """(ascending grid, tuning splits) of one training set."""
     train = split.train
-    dims = pipeline.resolved_dims(train.p)
     grid = lambda_grid(split.summaries)
     if inner_folds is None:
         splits = [_TuningSplit(train, _holdout_mask(train, rng))]
@@ -441,7 +476,7 @@ def _tuning_set(split: _Split, pipeline: PipelineSpec,
         fold_ids = _stratified_fold_ids(train.labels, inner_folds, rng)
         splits = [_TuningSplit(train, fold_ids == f)
                   for f in range(inner_folds)]
-    return dims, grid, splits
+    return grid, splits
 
 
 def _selected_lambda(grid, splits):
@@ -464,8 +499,8 @@ def _selected_lambda(grid, splits):
 def tune_lambda(splits, pipeline: PipelineSpec, rngs,
                 inner_folds: int | None = None) -> list:
     """Select the MRY penalty of the training set of each of ``splits``
-    (``_Split``; the test parts are not read) by validation error over its
-    ``lambda_grid``.
+    (``_Split``s of one dataset, so they share p and the classes; the test
+    parts are not read) by validation error over its ``lambda_grid``.
 
     With ``inner_folds`` None, each candidate is fitted on a per-class
     training split of the set and scored by its best-over-r error on the
@@ -477,7 +512,9 @@ def tune_lambda(splits, pipeline: PipelineSpec, rngs,
     class) problem. Each class's solve starts from the final ADMM state of
     its solve at the previous candidate, as if each split's classes were
     fitted in order: a failed class drops the candidate for its split, and
-    it and the classes after it keep their previous state.
+    it and the classes after it keep their previous state. The (set, split)
+    jobs whose classes all converged are then scored together: one stacked
+    discriminant matrix, one ``_bases`` SVD and one ``_sweep_cers`` pass.
 
     Returns per set its penalty, or the typed error that ended its tuning
     (StratificationError when its folds cannot be drawn, TuningError when
@@ -498,14 +535,17 @@ def tune_lambda(splits, pipeline: PipelineSpec, rngs,
         except SsdrError as exc:
             sets.append(exc)
     live = [ts for ts in sets if not isinstance(ts, SsdrError)]
-    for k in range(max((grid.size for _, grid, _ in live), default=0)):
-        jobs = [(dims, float(grid[-1 - k]), sp) for dims, grid, splits in live
-                if k < grid.size for sp in splits]
+    if live:
+        dims = pipeline.resolved_dims(splits[0].train.p)
+    for k in range(max((grid.size for grid, _ in live), default=0)):
+        jobs = [(float(grid[-1 - k]), sp) for grid, tsplits in live
+                if k < grid.size for sp in tsplits]
         fits = mry_batch(
-            [cs for _, _, sp in jobs for cs in sp.summaries], base,
-            [w for _, _, sp in jobs for w in sp.warm],
-            [lam for _, lam, sp in jobs for _ in sp.summaries])
-        for dims, lam, sp in jobs:
+            [cs for _, sp in jobs for cs in sp.summaries], base,
+            [w for _, sp in jobs for w in sp.warm],
+            [lam for lam, sp in jobs for _ in sp.summaries])
+        scored = []  # (lambda, split, class precisions) of whole candidates
+        for lam, sp in jobs:
             omegas = []
             for c, fit in enumerate(fits[:len(sp.summaries)]):
                 if isinstance(fit, SsdrError):
@@ -513,10 +553,25 @@ def tune_lambda(splits, pipeline: PipelineSpec, rngs,
                 sp.warm[c] = fit.state
                 omegas.append(fit.omega)
             fits = fits[len(sp.summaries):]
-            sp.scores[lam] = (
-                _candidate_score(sp.val, sp.summaries, omegas, dims)
-                if len(omegas) == len(sp.summaries) else None)
-    return [ts if isinstance(ts, SsdrError) else _selected_lambda(*ts[1:])
+            sp.scores[lam] = None
+            if len(omegas) == len(sp.summaries):
+                scored.append((lam, sp, omegas))
+        if not scored:
+            continue
+        classes = range(len(scored[0][1].summaries))
+        mhats = discriminant_matrix_from(
+            [np.stack([sp.summaries[c].mean for _, sp, _ in scored])
+             for c in classes],
+            [np.stack([sp.summaries[c].cov for _, sp, _ in scored])
+             for c in classes],
+            [np.stack([omegas[c] for _, _, omegas in scored])
+             for c in classes])
+        swept = _sweep_cers([(sp.summaries, sp.val, u) for (_, sp, _), u
+                             in zip(scored, _bases(mhats))], dims)
+        for (lam, sp, _), cers in zip(scored, swept):
+            vals = [v for v in (cers or {}).values() if v is not None]
+            sp.scores[lam] = min(vals) if vals else None
+    return [ts if isinstance(ts, SsdrError) else _selected_lambda(*ts)
             for ts in sets]
 
 

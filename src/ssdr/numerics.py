@@ -17,9 +17,10 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate a 2-D real matrix with finite entries; returns a float copy."""
+    """Validate a real matrix, or a stack of them along leading axes, with
+    finite entries; returns a float copy."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.size == 0:
         raise InvalidInputError(f"{name} must be nonempty")
@@ -35,29 +36,28 @@ def symmetrize(a, name: str = "matrix") -> np.ndarray:
     addition is commutative). Raises for non-square or non-finite input.
     """
     a = check_matrix(a, name)
-    n, m = a.shape
-    if n != m:
-        raise InvalidInputError(f"{name} must be square, got {n}x{m}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidInputError(
+            f"{name} must be one square matrix, got shape {a.shape}")
     return (a + a.T) / 2.0
 
 
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip singular-vector signs so each U column's first nonzero entry is positive.
+    """Flip singular-vector signs so each U column's first nonzero entry is
+    positive, in every matrix of a stack.
 
     Columns of U are unit vectors, so entries below 1e-8 are treated as zero
     when locating the leading entry. V rows are flipped in tandem to preserve
-    the factorization.
+    the factorization. Multiplying by +-1 is exact.
     """
-    u = u.copy()
+    big = np.abs(u) > 1e-8
+    lead = np.take_along_axis(u, np.argmax(big, axis=-2)[..., None, :],
+                              axis=-2)[..., 0, :]
+    sign = np.where(big.any(axis=-2) & (lead < 0), -1.0, 1.0)
+    rows = min(u.shape[-1], vt.shape[-2])
     vt = vt.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-8)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            if j < vt.shape[0]:
-                vt[j, :] = -vt[j, :]
-    return u, vt
+    vt[..., :rows, :] *= sign[..., :rows, None]
+    return u * sign[..., None, :], vt
 
 
 def svd_full(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,7 +65,10 @@ def svd_full(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     U's trailing columns beyond the rank form an orthonormal completion of
     the column space; d is the full vector of singular values, descending.
-    Raises NumericalDomainError when LAPACK does not converge.
+    ``m`` may be a stack of matrices along leading axes; each matrix of it
+    gets its own result bit for bit. Raises InvalidInputError for a
+    non-finite entry and NumericalDomainError when LAPACK does not converge,
+    on any matrix of a stack.
     """
     m = check_matrix(m)
     try:

@@ -73,7 +73,9 @@ def discriminant_matrix_from(means, covs, omegas) -> np.ndarray:
     ``means``, ``covs`` and ``omegas`` (precision matrices) are given in
     class order, and the first class is the reference. Mean-direction
     columns are omega_i mu_i - omega_0 mu_0; covariance-difference columns
-    are Sigma_i - Sigma_0.
+    are Sigma_i - Sigma_0. Each class's parameters may carry a leading
+    stack axis, (J, p), (J, p, p) and (J, p, p), for J targets at once;
+    each target of a stack equals its own 2-D result bit for bit.
 
     The two blocks carry different units: multiplying every feature by c
     scales the mean columns by 1/c and the covariance columns by c^2, which
@@ -88,10 +90,11 @@ def discriminant_matrix_from(means, covs, omegas) -> np.ndarray:
                                 "is required")
     if any(np.shape(m) != np.shape(means[0]) for m in means):
         raise InvalidInputError("class means disagree on dimension p")
-    g_ref = omegas[0] @ means[0]
-    mean_cols = [omegas[i] @ means[i] - g_ref for i in range(1, k)]
+    # omega @ mu as a one-column product, so a stack multiplies per target
+    g = [(omegas[i] @ np.asarray(means[i])[..., None])[..., 0] for i in range(k)]
+    mean_cols = [(g[i] - g[0])[..., None] for i in range(1, k)]
     cov_cols = [np.asarray(covs[i]) - np.asarray(covs[0]) for i in range(1, k)]
-    return np.column_stack(mean_cols + cov_cols)
+    return np.concatenate(mean_cols + cov_cols, axis=-1)
 
 
 def build_discriminant_matrix(summaries: list[ClassSummary],

@@ -193,6 +193,19 @@ class TestBodnar:
         out = bodnar(cs_from(s, n=20), target=target)
         assert out.omega.shape == (3, 3)
 
+    def test_failed_trace_norm_is_typed(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        cs = cs_from(random_spd(np.random.default_rng(6), 3), n=20,
+                     class_id=4)
+        with pytest.raises(NumericalDomainError, match="did not converge"):
+            bodnar(cs)
+        with pytest.raises(NumericalDomainError) as info:
+            estimate(cs, PrecisionEstimatorSpec(kind="bodnar"))
+        assert info.value.class_id == 4
+
 
 def offdiag_kkt_residual(s, omega, lam, zero_tol=1e-8):
     """Independent optimality check for the simple-penalty estimate.
@@ -494,6 +507,30 @@ class TestMryBatch:
         for i in (0, 2):
             assert _outcome(fits[i]) == _outcome(solos[i])
         assert calls[:5] == [3, None, None, None, 2]
+
+    def test_failed_spd_check_fails_only_its_problem(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        problems = [cs_from(random_spd(rng, 3), n=20, class_id=c)
+                    for c in range(3)]
+        spec = PrecisionEstimatorSpec(kind="mry", mry_lambda=0.1)
+        solos = [mry(cs, spec) for cs in problems]
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def flaky_eigvalsh(a):
+            calls.append(len(a) if a.ndim == 3 else None)
+            # the stacked check of the finished problems fails, and so does
+            # problem 1's estimate checked alone
+            if a.ndim == 3 or np.array_equal(a, solos[1].omega):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", flaky_eigvalsh)
+        fits = mry_batch(problems, spec)
+        assert isinstance(fits[1], NumericalDomainError)
+        assert fits[1].class_id == 1 and "did not converge" in str(fits[1])
+        for i in (0, 2):
+            assert _outcome(fits[i]) == _outcome(solos[i])
+        assert calls == [3, None, None, None]
 
     def test_errors_name_their_class(self):
         rng = np.random.default_rng(14)

@@ -75,8 +75,8 @@ def _serial_grid_scores(sub, val, pipeline, grid, failures):
                 u_full, _, _ = svd_full(discriminant_matrix_from(
                     [cs.mean for cs in summaries],
                     [cs.cov for cs in summaries], omegas))
-                cers = _sweep_cers(summaries, val, u_full,
-                                   pipeline.resolved_dims(sub.p))
+                cers, = _sweep_cers([(summaries, val, u_full)],
+                                    pipeline.resolved_dims(sub.p))
             except SsdrError:
                 continue
             vals = [v for v in cers.values() if v is not None]
@@ -510,7 +510,7 @@ class TestSweepCers:
     def test_matches_per_r_fits_when_classes_exceed_p(self, problem):
         train, test, u_full, dims = problem
         assert test.n > _SWEEP_BLOCK_ROWS and test.n % _SWEEP_BLOCK_ROWS
-        got = _sweep_cers(summarize(train), test, u_full, dims)
+        got, = _sweep_cers([(summarize(train), test, u_full)], dims)
         assert got == reference_sweep(train, test, u_full, dims)
         assert None not in got.values()
 
@@ -519,7 +519,7 @@ class TestSweepCers:
     def test_dims_past_smallest_class_are_missing(self, problem):
         train, test, u_full, dims = problem
         cap = int(train.class_counts().min()) - 1
-        got = _sweep_cers(summarize(train), test, u_full, dims)
+        got, = _sweep_cers([(summarize(train), test, u_full)], dims)
         ref = reference_sweep(train, test, u_full, dims)
         assert {r: got[r] for r in dims if r <= cap} == \
             {r: ref[r] for r in dims if r <= cap}
@@ -531,7 +531,7 @@ class TestSweepCers:
         feats[:20, 0] = 0.0  # class 0 has no spread along the first axis
         ds = LabeledDataset(feats, [0] * 20 + [1] * 20)
         dims = (1, 2, 3)
-        got = _sweep_cers(summarize(ds), ds, np.eye(3), dims)
+        got, = _sweep_cers([(summarize(ds), ds, np.eye(3))], dims)
         assert got == reference_sweep(ds, ds, np.eye(3), dims)
         assert got == {1: None, 2: None, 3: None}
 
@@ -542,8 +542,95 @@ class TestSweepCers:
         train, test, u_full, dims = problem
         perm = np.random.default_rng(seed).permutation(test.n)
         summaries = summarize(train)
-        assert _sweep_cers(summaries, test.subset(perm), u_full, dims) == \
-            _sweep_cers(summaries, test, u_full, dims)
+        assert _sweep_cers([(summaries, test.subset(perm), u_full)], dims) == \
+            _sweep_cers([(summaries, test, u_full)], dims)
+
+
+@st.composite
+def scoring_jobs(draw):
+    """Jobs of k classes and p features that are scored together: class
+    summaries, a test set and class precisions each, and a dimension sweep.
+
+    A job's kind breaks it on purpose: "pivot" gives its last class a zero
+    covariance (the first pivot fails), "small" gives its first class fewer
+    than p rows, "nonfinite" puts NaN in a precision, and "svd" marks its
+    discriminant matrix for a failing SVD.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    p = draw(st.integers(2, 5))
+    dims = tuple(sorted(draw(st.sets(st.integers(1, p), min_size=1))))
+    kinds = draw(st.lists(st.sampled_from(
+        ["plain", "pivot", "small", "nonfinite", "svd"]),
+        min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jobs = []
+    for kind in kinds:
+        summaries, omegas, test_x, test_y = [], [], [], []
+        for c in range(k):
+            n = int(rng.integers(2, p + 1)) if kind == "small" and c == 0 \
+                else int(rng.integers(p + 2, 3 * p + 4))
+            x = rng.normal(size=(n, p)) @ (rng.normal(size=(p, p))
+                                           + 2.0 * np.eye(p)) + c
+            cov = np.zeros((p, p)) if kind == "pivot" and c == k - 1 \
+                else np.cov(x, rowvar=False, bias=True)
+            summaries.append(ClassSummary(
+                class_id=c, n_i=n, mean=x.mean(axis=0),
+                cov=(cov + cov.T) / 2, prior=1.0 / k))
+            g = rng.normal(size=(p, p))
+            omegas.append(g @ g.T + np.eye(p))
+            n_test = int(rng.integers(3, 40))
+            test_x.append(rng.normal(size=(n_test, p)) + c)
+            test_y.append(np.full(n_test, c))
+        if kind == "nonfinite":
+            omegas[0][0, 0] = np.nan
+        jobs.append((kind, summaries, omegas,
+                     LabeledDataset(np.vstack(test_x),
+                                    np.concatenate(test_y))))
+    return jobs, dims
+
+
+class TestStackedScoring:
+    @settings(max_examples=40, deadline=None)
+    @given(scoring_jobs())
+    def test_each_job_gets_its_result_alone(self, problem):
+        # J jobs assembled, decomposed and swept together give each job
+        # exactly what it gets as the only job
+        jobs, dims = problem
+        classes = range(len(jobs[0][1]))
+        mhats = discriminant_matrix_from(
+            [np.stack([s[c].mean for _, s, _, _ in jobs]) for c in classes],
+            [np.stack([s[c].cov for _, s, _, _ in jobs]) for c in classes],
+            [np.stack([o[c] for _, _, o, _ in jobs]) for c in classes])
+        failing = {m.tobytes() for (kind, *_), m in zip(jobs, mhats)
+                   if kind == "svd"}
+        svd = np.linalg.svd
+
+        def flaky_svd(a, *args, **kwargs):
+            if any(m.tobytes() in failing for m in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", flaky_svd)
+            bases = experiments._bases(mhats)
+            together = _sweep_cers([(s, t, u) for (_, s, _, t), u
+                                    in zip(jobs, bases)], dims)
+            for (kind, s, o, t), mhat, u, got in zip(jobs, mhats, bases,
+                                                     together):
+                alone_mhat = discriminant_matrix_from(
+                    [cs.mean for cs in s], [cs.cov for cs in s], o)
+                assert alone_mhat.tobytes() == mhat.tobytes()
+                alone_u, = experiments._bases(alone_mhat[None])
+                assert (u is None) == (alone_u is None)
+                assert u is None or u.tobytes() == alone_u.tobytes()
+                assert got == _sweep_cers([(s, t, alone_u)], dims)[0]
+                if kind in ("nonfinite", "svd"):
+                    assert got is None
+                elif kind == "pivot":
+                    assert set(got.values()) == {None}
+                elif kind == "small":
+                    assert all(got[r] is None for r in dims
+                               if r > s[0].n_i - 1)
 
 
 class TestSelectDimension:
@@ -657,18 +744,22 @@ class TestTuneLambda:
                    for v in scores.values())
 
         seen, lams = {}, []
-        batch, score = experiments.mry_batch, experiments._candidate_score
+        batch, sweep = experiments.mry_batch, experiments._sweep_cers
 
         def spy_batch(summaries, spec, warm_starts, lambdas):
             lams.append(lambdas[0])
             return batch(summaries, spec, warm_starts, lambdas)
 
-        def spy_score(val, *args):
-            seen[lams[-1], val.features.tobytes()] = score(val, *args)
-            return seen[lams[-1], val.features.tobytes()]
+        def spy_sweep(jobs, dims):
+            swept = sweep(jobs, dims)
+            for (_, val, _), cers in zip(jobs, swept):
+                vals = [v for v in (cers or {}).values() if v is not None]
+                seen[lams[-1], val.features.tobytes()] = \
+                    min(vals) if vals else None
+            return swept
 
         monkeypatch.setattr(experiments, "mry_batch", spy_batch)
-        monkeypatch.setattr(experiments, "_candidate_score", spy_score)
+        monkeypatch.setattr(experiments, "_sweep_cers", spy_sweep)
         lam = _tune_one(ds, pl, np.random.default_rng(0), inner_folds=3)
         got = [{float(g): seen.get((float(g), val.features.tobytes()))
                 for g in grid} for _, val in splits]
@@ -691,25 +782,35 @@ class TestTuneLambda:
             name="m", dims=(1, 2, 3),
             estimator=PrecisionEstimatorSpec(kind="mry", admm_max_iters=40))
         one_point = summarize(trains[1])[0].mean.tobytes()
-        grid_of, score = experiments.lambda_grid, experiments._candidate_score
-        seen = {}
+        grid_of, assemble = experiments.lambda_grid, \
+            experiments.discriminant_matrix_from
+        sweep, seen, omegas = experiments._sweep_cers, {}, []
 
         def grid(summaries):
             full = grid_of(summaries)
             return full[-1:] if summaries[0].mean.tobytes() == one_point \
                 else full
 
-        def spy_score(val, summaries, omegas, dims):
-            out = score(val, summaries, omegas, dims)
-            seen.setdefault(val.features.tobytes(), []).append(
-                (out, [o.tobytes() for o in omegas]))
-            return out
+        def spy_assemble(means, covs, stacked):
+            # each scored job's class precisions, in the order of the sweep
+            omegas[:] = [[o.tobytes() for o in job] for job in zip(*stacked)]
+            return assemble(means, covs, stacked)
+
+        def spy_sweep(jobs, dims):
+            swept = sweep(jobs, dims)
+            assert len(jobs) == len(omegas)
+            for (_, val, _), cers, job_omegas in zip(jobs, swept, omegas):
+                seen.setdefault(val.features.tobytes(), []).append(
+                    (cers, job_omegas))
+            return swept
 
         def outcome(lam):
             return (type(lam), str(lam)) if isinstance(lam, SsdrError) else lam
 
         monkeypatch.setattr(experiments, "lambda_grid", grid)
-        monkeypatch.setattr(experiments, "_candidate_score", spy_score)
+        monkeypatch.setattr(experiments, "discriminant_matrix_from",
+                            spy_assemble)
+        monkeypatch.setattr(experiments, "_sweep_cers", spy_sweep)
         together = tune_lambda(
             [_Split(train, None) for train in trains], pl,
             [np.random.default_rng(100 + i) for i in range(len(trains))],
@@ -726,6 +827,26 @@ class TestTuneLambda:
         assert all(isinstance(together[i], float) for i in (0, 3, 4))
         assert len(seen) == 4 * 3
         assert sum(map(len, seen.values())) == 3 * (1 + 3 * 5)
+
+    @pytest.mark.parametrize("penalty", ["simple", "qda"])
+    def test_prox_input_is_exactly_symmetric_along_a_tuning_path(
+            self, monkeypatch, penalty):
+        # simple mode hands the prox E = rho (Z - U) - S as is: Z, U and S
+        # are exactly symmetric and elementwise steps keep E so; qda mode
+        # symmetrizes its E first
+        symmetric = []
+
+        def spy_prox(e, t):
+            symmetric.append(np.array_equal(e, e.transpose(0, 2, 1)))
+            return _LOGDET_PROX(e, t)
+
+        monkeypatch.setattr(estimators, "_logdet_prox", spy_prox)
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 5)
+        ds = blobs(np.random.default_rng(22), n_per=20, p=4, k=3, spread=2.0)
+        pl = PipelineSpec(name="m", dims=(1, 2), estimator=PrecisionEstimatorSpec(
+            kind="mry", mry_penalty=penalty))
+        _tune_one(ds, pl, np.random.default_rng(0), inner_folds=3)
+        assert len(symmetric) > 50 and all(symmetric)
 
     def test_all_candidates_failing_raises(self):
         rng = np.random.default_rng(17)
