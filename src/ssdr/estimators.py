@@ -481,7 +481,7 @@ def _mry_estimates(summaries, spec, lams, setups, converged):
     # Z-step makes rho * U an exact subgradient of lambda * |Z|_1.
     cov = np.stack([summaries[i].cov for i in idx])
     kkt = np.max(np.abs(cov - omega_inv + y), axis=(1, 2)).tolist()
-    repaired = failed = np.zeros(len(idx), dtype=bool)
+    repaired = failed = np.zeros(len(idx), dtype=bool)  # qda mode
     if qda:
         out = _symmetric_part((q * d) @ q_t)
         out = _symmetric_part(l_inv.transpose(0, 2, 1) @ out @ l_inv)

@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import qda
 from .datamodel import LabeledDataset, jitter, standardize, summarize
@@ -50,7 +49,13 @@ from .estimators import (
     mry,  # noqa: F401 -- not called here; perfbench/tracing.py wraps this name
     mry_batch,
 )
-from .numerics import cholesky_prefix, spd_cholesky, svd_full, symmetrize
+from .numerics import (
+    cholesky_prefix,
+    lower_solve,
+    spd_cholesky,
+    svd_full,
+    symmetrize,
+)
 from .qda import CerReport
 from .reduction import build_discriminant_matrix, discriminant_matrix_from
 
@@ -314,14 +319,14 @@ def _sweep_cers(jobs, dims) -> list:
                 @ np.stack([cs.cov for cs in classes]) @ bases)
     rot_means = (np.stack([cs.mean for cs in classes])[:, None, :]
                  @ bases)[:, 0, :]
-    moments = iter(zip(classes, rot_means, map(cholesky_prefix, rot_covs)))
+    moments = iter(zip(classes, rot_means, *cholesky_prefix(rot_covs)))
     out = []
     for summaries, test, u in jobs:
         if u is None:
             out.append(None)
             continue
         q, parts = m, []
-        for cs, mean, (chol, valid) in itertools.islice(moments, len(summaries)):
+        for cs, mean, chol, valid in itertools.islice(moments, len(summaries)):
             q = min(q, valid, cs.n_i - 1)
             parts.append((cs.class_id, mean, chol))
         consts = [2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
@@ -333,9 +338,7 @@ def _sweep_cers(jobs, dims) -> list:
             rows = slice(start, start + _SWEEP_BLOCK_ROWS)
             best = pred = None
             for (class_id, mean, chol), const in zip(parts, consts):
-                z = solve_triangular(chol[:q, :q],
-                                     (rot_test[rows] - mean[:q]).T,
-                                     lower=True, check_finite=False)
+                z = lower_solve(chol[:q, :q], (rot_test[rows] - mean[:q]).T)
                 score = np.cumsum(z * z, axis=0) + const[:, None]
                 if best is None:
                     best, pred = score, np.full(score.shape, class_id)
@@ -398,7 +401,8 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
         swept = _sweep_cers([(splits[i].summaries, splits[i].test, u)
                              for i, u in zip(fitted, bases)], dims)
         for i, cers in zip(fitted, swept):
-            out[i] = cers or out[i]
+            if cers is not None:
+                out[i] = cers
     return out
 
 
@@ -499,8 +503,8 @@ def _selected_lambda(grid, splits):
 def tune_lambda(splits, pipeline: PipelineSpec, rngs,
                 inner_folds: int | None = None) -> list:
     """Select the MRY penalty of the training set of each of ``splits``
-    (``_Split``s of one dataset, so they share p and the classes; the test
-    parts are not read) by validation error over its ``lambda_grid``.
+    (``_Split`` objects of one dataset, so they share p and the classes; the
+    test parts are not read) by validation error over its ``lambda_grid``.
 
     With ``inner_folds`` None, each candidate is fitted on a per-class
     training split of the set and scored by its best-over-r error on the

@@ -30,16 +30,17 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(a, name: str = "matrix") -> np.ndarray:
-    """Construct an exactly symmetric matrix as (A + A^T) / 2.
+    """Construct an exactly symmetric matrix as (A + A^T) / 2, or each
+    matrix of a stack along leading axes.
 
     The result satisfies ``out[i, j] == out[j, i]`` exactly (floating-point
     addition is commutative). Raises for non-square or non-finite input.
     """
     a = check_matrix(a, name)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(
-            f"{name} must be one square matrix, got shape {a.shape}")
-    return (a + a.T) / 2.0
+    n, m = a.shape[-2:]
+    if n != m:
+        raise InvalidInputError(f"{name} must be square, got {n}x{m}")
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,13 +126,34 @@ def cholesky_prefix(s) -> tuple[np.ndarray, int]:
     Returns (L, q). When the factorization meets a non-positive pivot at
     zero-based position j, q = j and only the leading q x q block of L is a
     factor (of the leading q x q block of s); otherwise q is the order of s
-    and L L^T = s. This is the one place that calls LAPACK dpotrf.
+    and L L^T = s. For a (N, p, p) stack, L is the stack of factors and q
+    the list of counts. This is the one place that calls LAPACK dpotrf, one
+    matrix at a time.
     """
     s = symmetrize(s)
-    c, info = lapack.dpotrf(s, lower=1)
-    if info < 0:
-        raise InvalidInputError(f"illegal value in argument {-info} of dpotrf")
-    return np.tril(c), (info - 1 if info > 0 else s.shape[0])
+    stack = s.reshape(-1, *s.shape[-2:])
+    valid = []
+    for j, m in enumerate(stack):
+        c, info = lapack.dpotrf(m, lower=1)
+        if info < 0:
+            raise InvalidInputError(
+                f"illegal value in argument {-info} of dpotrf")
+        stack[j] = c
+        valid.append(info - 1 if info > 0 else len(m))
+    return np.tril(s), (valid if s.ndim == 3 else valid[0])
+
+
+def lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L z = b for a lower-triangular L with a nonzero diagonal, by
+    one LAPACK dtrtrs call: the arithmetic of scipy's
+    ``solve_triangular(L, b, lower=True)`` without its per-call checks. An
+    empty b gives an empty z."""
+    if b.size == 0:
+        return np.empty_like(b)
+    z, info = lapack.dtrtrs(chol.T, b, lower=0, trans=1)
+    if info != 0:
+        raise InvalidInputError(f"dtrtrs failed with info={info}")
+    return z
 
 
 def spd_cholesky(s) -> np.ndarray:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from ssdr.errors import InvalidInputError, NotSpdError, NumericalDomainError
 from ssdr.numerics import (
     cholesky_prefix,
+    lower_solve,
     reduced_svd,
     svd_full,
     spd_logdet_and_inverse,
@@ -172,6 +174,26 @@ class TestCholeskyPrefix:
         with pytest.raises(NotSpdError) as ei:
             spd_logdet_and_inverse(s)
         assert ei.value.pivot == 2
+
+    def test_stack_factors_each_matrix_alone(self):
+        rng = np.random.default_rng(33)
+        stack = np.stack([random_spd(rng, 5), np.diag([1.0, 2.0, -1.0, 3.0, 1.0]),
+                          rng.normal(size=(5, 5))])
+        chols, valid = cholesky_prefix(stack)
+        for s, chol, v in zip(stack, chols, valid):
+            alone, alone_valid = cholesky_prefix(s)
+            assert chol.tobytes() == alone.tobytes() and v == alone_valid
+        assert valid[:2] == [5, 2]
+
+
+def test_lower_solve_is_solve_triangular_bit_for_bit():
+    rng = np.random.default_rng(35)
+    for p in (1, 2, 5, 9):
+        chol = cholesky_prefix(random_spd(rng, p))[0]
+        for b in (rng.normal(size=(p, 7)), rng.normal(size=(7, p)).T,
+                  np.empty((p, 0))):
+            assert lower_solve(chol, b).tobytes() == solve_triangular(
+                chol, b, lower=True, check_finite=False).tobytes()
 
 
 class TestSymEigen:
