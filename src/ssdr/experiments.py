@@ -328,24 +328,23 @@ def _sweep_cers(jobs, dims) -> list:
         q, parts = m, []
         for cs, mean, chol, valid in itertools.islice(moments, len(summaries)):
             q = min(q, valid, cs.n_i - 1)
-            parts.append((cs.class_id, mean, chol))
+            parts.append((cs, mean, chol))
         consts = [2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
-                  - 2.0 * np.log(cs.prior) for cs, (_, _, chol)
-                  in zip(summaries, parts)]
+                  - 2.0 * np.log(cs.prior) for cs, _, chol in parts]
         rot_test = (test.features @ u[:, :m])[:, :q]
         misses = np.zeros(q, dtype=np.int64)
         for start in range(0, test.n, _SWEEP_BLOCK_ROWS):
             rows = slice(start, start + _SWEEP_BLOCK_ROWS)
             best = pred = None
-            for (class_id, mean, chol), const in zip(parts, consts):
+            for (cs, mean, chol), const in zip(parts, consts):
                 z = lower_solve(chol[:q, :q], (rot_test[rows] - mean[:q]).T)
                 score = np.cumsum(z * z, axis=0) + const[:, None]
                 if best is None:
-                    best, pred = score, np.full(score.shape, class_id)
+                    best, pred = score, np.full(score.shape, cs.class_id)
                 else:
                     better = score < best
                     np.copyto(best, score, where=better)
-                    pred[better] = class_id
+                    pred[better] = cs.class_id
             misses += np.count_nonzero(pred != test.labels[rows], axis=1)
         out.append({r: float(misses[r - 1] / test.n) if r <= q else None
                     for r in dims})
