@@ -10,7 +10,9 @@ discriminant matrix; one stacked SVD (``_bases``) gives every split its
 projection basis, and one ``_sweep_cers`` pass records for each split and
 r the estimated conditional error rate of plain QDA on the class summaries
 rotated onto the basis, applied to the projected test data. One Cholesky
-factorization per class serves every r of the sweep. The full-feature QDA
+factor L per class serves every r of the sweep: test rows are scored
+through the whitened projection L^-1 B' (B the basis), one matrix product
+per split and block of test rows for all its classes. The full-feature QDA
 error is always recorded as a baseline under the method name "qda_full";
 ``_study_report`` turns the per-unit results into a CerReport. A split
 (``_Split``) summarizes its training part once, for the tuning grid, the
@@ -292,10 +294,10 @@ def _sweep_cers(jobs, dims) -> list:
     job's U, as mean B and B' S B, not re-estimated from projected rows; the
     moments for dimension r are their leading r x r block, and the Cholesky
     factor L_r of a leading block is the leading block of the full factor L.
-    One triangular solve L z = x - mean per class and test row therefore
-    gives the QDA score at every r as a prefix sum, cumsum(z**2) +
-    2 cumsum(log diag L) - 2 log prior. Each row goes to the class of lowest
-    score, ties to the lowest class id as in qda.classify.
+    So the whitened projection z = A x - a of a test row x, with A = L^-1 B'
+    and a = L^-1 B' mean, gives its QDA score at every r as a prefix sum,
+    cumsum(z**2) + 2 cumsum(log diag L) - 2 log prior. Each row goes to the
+    class of lowest score, ties to the lowest class id as in qda.classify.
 
     Class i supports r up to the smallest of its first failed pivot, n_i - 1
     and max(dims): the ML covariance of n_i rows has rank at most n_i - 1,
@@ -303,10 +305,10 @@ def _sweep_cers(jobs, dims) -> list:
     whether its pivot passes. An r past any class's prefix is missing
     (None), as a singular projected covariance is for qda.fit.
 
-    The moments of every (job, class) are rotated by one stacked product;
-    each rotated covariance is factored alone, and test rows are solved per
-    job and class in blocks of _SWEEP_BLOCK_ROWS. A job's result is the one
-    it gets alone, bit for bit.
+    The moments of every (job, class) are rotated by one stacked product and
+    each rotated covariance is factored alone; a job's test rows are scored
+    in blocks of _SWEEP_BLOCK_ROWS, each by one product with its classes'
+    stacked A. A job's result is the one it gets alone, bit for bit.
     """
     live = [job for job in jobs if job[2] is not None]
     if not live:
@@ -329,22 +331,22 @@ def _sweep_cers(jobs, dims) -> list:
         for cs, mean, chol, valid in itertools.islice(moments, len(summaries)):
             q = min(q, valid, cs.n_i - 1)
             parts.append((cs, mean, chol))
-        consts = [2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
-                  - 2.0 * np.log(cs.prior) for cs, _, chol in parts]
-        rot_test = (test.features @ u[:, :m])[:, :q]
+        white = np.concatenate([lower_solve(chol[:q, :q], np.column_stack(
+            [u[:, :q].T, mean[:q]])) for _, mean, chol in parts])  # [A | a]
+        consts = np.stack([2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
+                           - 2.0 * np.log(cs.prior) for cs, _, chol in parts])
         misses = np.zeros(q, dtype=np.int64)
         for start in range(0, test.n, _SWEEP_BLOCK_ROWS):
             rows = slice(start, start + _SWEEP_BLOCK_ROWS)
-            best = pred = None
-            for (cs, mean, chol), const in zip(parts, consts):
-                z = lower_solve(chol[:q, :q], (rot_test[rows] - mean[:q]).T)
-                score = np.cumsum(z * z, axis=0) + const[:, None]
-                if best is None:
-                    best, pred = score, np.full(score.shape, cs.class_id)
-                else:
-                    better = score < best
-                    np.copyto(best, score, where=better)
-                    pred[better] = cs.class_id
+            z = white[:, :-1] @ test.features[rows].T - white[:, -1:]
+            score = np.square(z, out=z).reshape(len(parts), q, z.shape[1])
+            for r in range(1, q):  # cumsum's sequential sums, across rows
+                score[:, r] += score[:, r - 1]
+            score += consts[:, :, None]
+            best, pred = score[0], np.full(score.shape[1:], parts[0][0].class_id)
+            for (cs, _, _), s in zip(parts[1:], score[1:]):
+                pred[s < best] = cs.class_id
+                np.minimum(best, s, out=best)
             misses += np.count_nonzero(pred != test.labels[rows], axis=1)
         out.append({r: float(misses[r - 1] / test.n) if r <= q else None
                     for r in dims})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -446,6 +448,30 @@ class TestMryBatch:
             again = mry(cs, spec, warm_start=first.state)
             assert again.diagnostics.iterations == 1
             assert again.state.rho == first.state.rho
+
+    @pytest.mark.parametrize("penalty", ["simple", "qda"])
+    def test_warm_start_reuses_the_constants_of_its_own_problem_only(
+            self, monkeypatch, penalty):
+        # a penalty path sets its problem up once; a state of another
+        # summary or penalty gets the problem set up anew, and either way
+        # the solve is the one from constants set up afresh, bit for bit
+        rng = np.random.default_rng(22)
+        a, b = (cs_from(random_spd(rng, 4), n=20, mean=rng.normal(size=4))
+                for _ in range(2))
+        spec = PrecisionEstimatorSpec(kind="mry", mry_penalty=penalty,
+                                      mry_lambda=0.2)
+        state = mry(a, spec).state
+        constants, set_up = estimators._mry_constants, []
+        monkeypatch.setattr(estimators, "_mry_constants",
+                            lambda cs, sp: set_up.append(cs) or constants(cs, sp))
+        for cs, sp, reused in [(a, spec.with_lambda(0.1), True),
+                               (b, spec.with_lambda(0.1), False),
+                               (a, replace(spec, mry_gamma=2.0), False)]:
+            set_up.clear()
+            fit = mry(cs, sp, warm_start=state)
+            assert set_up == ([] if reused else [cs])
+            afresh = mry(cs, sp, warm_start=replace(state, _constants=None))
+            assert _outcome(fit) == _outcome(afresh)
 
     def test_residual_norms_match_linalg_norm(self):
         # residuals decide where a solve stops; summed in another order they

@@ -480,17 +480,12 @@ def reference_sweep(train, test, u_full, dims):
     return out
 
 
-@st.composite
-def sweep_problems(draw, n_lo, n_hi):
-    """Train/test split of k Gaussian classes, and a random orthogonal basis.
-
-    The test set spans more than one scoring block and ends mid-block.
-    """
-    k = draw(st.sampled_from([2, 3]))
-    p = draw(st.integers(2, 5))
-    n_train = [draw(st.integers(n_lo(p), n_hi(p))) for _ in range(k)]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_test = _SWEEP_BLOCK_ROWS // k + 101
+def sweep_problem(rng, p, n_train, blocks):
+    """Train/test split of len(n_train) Gaussian classes of p features, and
+    a random orthogonal basis; the test set spans ``blocks`` full scoring
+    blocks and ends mid-block."""
+    k = len(n_train)
+    n_test = blocks * _SWEEP_BLOCK_ROWS // k + 101
     parts = []
     for c, n in enumerate(n_train):
         scale = rng.normal(size=(p, p)) + 2.0 * np.eye(p)
@@ -504,6 +499,17 @@ def sweep_problems(draw, n_lo, n_hi):
     return train, test, u_full, tuple(range(1, p + 1))
 
 
+@st.composite
+def sweep_problems(draw, n_lo, n_hi):
+    """A ``sweep_problem`` of k = 2 or 3 classes, p <= 5 and a test set of
+    one full scoring block and a part."""
+    k = draw(st.sampled_from([2, 3]))
+    p = draw(st.integers(2, 5))
+    n_train = [draw(st.integers(n_lo(p), n_hi(p))) for _ in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return sweep_problem(rng, p, n_train, blocks=1)
+
+
 class TestSweepCers:
     @settings(max_examples=25, deadline=None)
     @given(sweep_problems(n_lo=lambda p: p + 1, n_hi=lambda p: p + 8))
@@ -513,6 +519,33 @@ class TestSweepCers:
         got, = _sweep_cers([(summarize(train), test, u_full)], dims)
         assert got == reference_sweep(train, test, u_full, dims)
         assert None not in got.values()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_per_r_fits_at_benchmark_scale(self, k):
+        # p = 50, n_i = 2p and r = 1..50 as in the benchmark's sweep, so the
+        # scoring products run at its sizes, over three blocks and a part
+        train, test, u_full, dims = sweep_problem(
+            np.random.default_rng(50 + k), 50, [100] * k, blocks=3)
+        assert test.n > 3 * _SWEEP_BLOCK_ROWS and test.n % _SWEEP_BLOCK_ROWS
+        got, = _sweep_cers([(summarize(train), test, u_full)], dims)
+        assert got == reference_sweep(train, test, u_full, dims)
+        assert None not in got.values()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(sweep_problems(n_lo=lambda p: p + 1, n_hi=lambda p: p + 8),
+           st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+    def test_rates_are_translation_invariant(self, problem, size, seed):
+        # one vector added to every training and test row moves each class
+        # mean and test row alike; with the basis fixed it cancels in the
+        # whitened projection A x - a
+        train, test, u_full, dims = problem
+        direction = np.random.default_rng(seed).uniform(
+            -1.0, 1.0, size=train.p)
+        shift = size * train.features.std(axis=0).max() * direction
+        moved = _sweep_cers([(
+            summarize(train.with_features(train.features + shift)),
+            test.with_features(test.features + shift), u_full)], dims)
+        assert moved == _sweep_cers([(summarize(train), test, u_full)], dims)
 
     @settings(max_examples=25, deadline=None)
     @given(sweep_problems(n_lo=lambda p: 2, n_hi=lambda p: p))
@@ -859,6 +892,21 @@ class TestTuneLambda:
             dims=(1,))  # nothing can converge
         with pytest.raises(TuningError):
             _tune_one(ds, pl, np.random.default_rng(2))
+
+    @pytest.mark.parametrize("penalty", ["simple", "qda"])
+    def test_each_tuning_problem_is_set_up_once(self, monkeypatch, penalty):
+        # a problem's constants are set up at its first candidate, and its
+        # warm state carries them along the penalty path
+        constants, set_up = estimators._mry_constants, []
+        monkeypatch.setattr(estimators, "_mry_constants",
+                            lambda cs, sp: set_up.append(cs) or constants(cs, sp))
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 4)
+        ds = blobs(np.random.default_rng(23), n_per=30, p=3, k=3, spread=3.0)
+        pl = PipelineSpec(name="m", dims=(1, 2), estimator=PrecisionEstimatorSpec(
+            kind="mry", mry_penalty=penalty))
+        _tune_one(ds, pl, np.random.default_rng(4), inner_folds=3)
+        # three inner splits of three classes
+        assert len({id(cs) for cs in set_up}) == len(set_up) == 9
 
     def test_non_mry_pipeline_rejected(self):
         rng = np.random.default_rng(18)
