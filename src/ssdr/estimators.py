@@ -133,15 +133,15 @@ class EstimateDiagnostics:
 class AdmmState:
     """Where a converged MRY solve stopped, to warm start the next one: the
     splitting iterate Z, the scaled dual U (the dual is rho * U), the ADMM
-    penalty rho and the lambda of the solve. It also keeps the constants of
-    the problem it solved, which a warm start of the same ClassSummary
-    under the same penalty reuses, so a penalty path sets them up once."""
+    penalty rho and the lambda of the solve. It also keeps its problem's
+    constants, which a warm start of the same ClassSummary under the same
+    penalty reuses: a penalty path sets them up once."""
 
     z: np.ndarray
     u: np.ndarray
     rho: float
     lam: float
-    _constants: object = field(default=None, repr=False, compare=False)
+    _problem: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -405,38 +405,54 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     return fit
 
 
-class _MryConstants(NamedTuple):
-    """What every solve of one problem shares: the summary and penalty
-    (``_penalty``) it was set up for, what the loop stacks (its S, P and B)
-    and what only the estimate needs. In qda mode L L' = B B', P = L^-1 B
-    (``white``) and the loop's S is L^-1 S L^-T; in simple mode the loop's
-    S is S and the rest is None."""
+class _MryProblem(NamedTuple):
+    """One problem of mry_batch: what its loop stacks (the loop's S, P, B,
+    and the first Z and U), what only its estimate needs, its first rho, and
+    the summary and penalty (``_penalty``) it was set up for. In qda mode
+    L L' = B B', P = L^-1 B (``white``) and the loop's S is L^-1 S L^-T; in
+    simple mode the loop's S is S and the rest is None."""
 
-    cs: ClassSummary
-    penalty: tuple
     s: np.ndarray
     white: np.ndarray | None
     b: np.ndarray | None
-    l_fac: np.ndarray | None
-    l_inv: np.ndarray | None
-
-
-class _MryProblem(NamedTuple):
-    """One problem of mry_batch: its constants, first Z and U, and first
-    rho."""
-
-    consts: _MryConstants
     z: np.ndarray
     u: np.ndarray
+    l_fac: np.ndarray | None
+    l_inv: np.ndarray | None
     rho: float
+    cs: ClassSummary
+    penalty: tuple
 
 
 def _penalty(spec: PrecisionEstimatorSpec) -> tuple:
     return spec.mry_penalty, spec.mry_gamma, spec.mry_standardize_mean
 
 
-def _mry_constants(cs: ClassSummary,
-                   spec: PrecisionEstimatorSpec) -> _MryConstants:
+def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
+               lam: float) -> _MryProblem:
+    """One problem's constants and first iterate, its warm start checked.
+    The constants come with a warm start of the same summary and penalty,
+    and are set up (``_mry_cold``) otherwise."""
+    if not (warm_start is None or isinstance(warm_start, AdmmState)):
+        raise InvalidInputError("a warm start must be an AdmmState or None, "
+                                f"got {type(warm_start).__name__}")
+    problem = getattr(warm_start, "_problem", None)
+    if problem is None or problem.cs is not cs or \
+            problem.penalty != _penalty(spec):
+        problem = _mry_cold(cs, spec)
+    if warm_start is None:
+        return problem
+    m = len(problem.z)
+    if warm_start.z.shape != (m, m) or warm_start.u.shape != (m, m):
+        raise InvalidInputError(
+            f"warm-start state must be {m}x{m} for this problem")
+    # rho * U rescaled by lam / lam_old stays a subgradient of lam |Z|_1
+    return problem._replace(z=warm_start.z, rho=warm_start.rho,
+                            u=warm_start.u * (lam / warm_start.lam))
+
+
+def _mry_cold(cs: ClassSummary, spec: PrecisionEstimatorSpec) -> _MryProblem:
+    """One problem's constants and its cold start."""
     s = symmetrize(cs.cov)
     p = s.shape[0]
     s_loop, white, b, l_fac, l_inv = s, None, None, None, None
@@ -451,33 +467,10 @@ def _mry_constants(cs: ClassSummary,
         l_inv = solve_triangular(l_fac, np.eye(p), lower=True)
         white = l_inv @ b
         s_loop = _symmetric_part(l_inv @ s @ l_inv.T)
-    return _MryConstants(cs, _penalty(spec), s_loop, white, b, l_fac, l_inv)
-
-
-def _mry_setup(cs: ClassSummary, spec: PrecisionEstimatorSpec, warm_start,
-               lam: float) -> _MryProblem:
-    """One problem's constants and first iterate, its warm start checked.
-    The constants come with a warm start of the same summary and penalty,
-    and are set up here otherwise."""
-    if not (warm_start is None or isinstance(warm_start, AdmmState)):
-        raise InvalidInputError("a warm start must be an AdmmState or None, "
-                                f"got {type(warm_start).__name__}")
-    consts = getattr(warm_start, "_constants", None)
-    if consts is None or consts.cs is not cs or consts.penalty != _penalty(spec):
-        consts = _mry_constants(cs, spec)
-    b, p = consts.b, cs.p
-    if warm_start is not None:
-        m = p if b is None else p + 1
-        if warm_start.z.shape != (m, m) or warm_start.u.shape != (m, m):
-            raise InvalidInputError(
-                f"warm-start state must be {m}x{m} for this problem")
-        # rho * U rescaled by lam / lam_old stays a subgradient of lam |Z|_1
-        z, u = warm_start.z, warm_start.u * (lam / warm_start.lam)
-        return _MryProblem(consts, z, u, warm_start.rho)
-    # the diagonal of symmetrize(S) is the diagonal of S, bit for bit
-    omega = np.diag(1.0 / np.maximum(np.diag(cs.cov), 1e-8))
+    omega = np.diag(1.0 / np.maximum(np.diag(s), 1e-8))
     z = omega.copy() if b is None else symmetrize(b.T @ omega @ b)
-    return _MryProblem(consts, z, np.zeros_like(z), 1.0)
+    return _MryProblem(s_loop, white, b, z, np.zeros_like(z), l_fac, l_inv,
+                       1.0, cs, _penalty(spec))
 
 
 def _mry_estimates(summaries, spec, lams, setups, converged):
@@ -493,13 +486,12 @@ def _mry_estimates(summaries, spec, lams, setups, converged):
     idx, q, d, z, u, rho, primal, iters = zip(*converged)
     q, d = np.stack(q), np.stack(d)[:, None, :]
     q_t = q.transpose(0, 2, 1)
-    qda = setups[idx[0]].consts.b is not None
+    qda = setups[idx[0]].b is not None
     omega_inv = _symmetric_part((q / d) @ q_t)
     y = np.array(rho).reshape(-1, 1, 1) * np.stack(u)
     gamma = {}
     if qda:
-        l_fac, b, l_inv = (np.stack([getattr(setups[i].consts, name)
-                                     for i in idx])
+        l_fac, b, l_inv = (np.stack([getattr(setups[i], name) for i in idx])
                            for name in ("l_fac", "b", "l_inv"))
         omega_inv = _symmetric_part(
             l_fac @ omega_inv @ l_fac.transpose(0, 2, 1))
@@ -542,7 +534,7 @@ def _mry_estimates(summaries, spec, lams, setups, converged):
             shrinkage_coefficients={"lambda": lams[i], **gamma},
             repaired=bool(repaired[j]), mean_quadratic=quad[j]),
             state=AdmmState(z=z[j], u=u[j], rho=rho[j], lam=lams[i],
-                            _constants=setups[i].consts))
+                            _problem=setups[i]))
 
 
 def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
@@ -594,9 +586,8 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
             raise
     if len({st.z.shape for st in setups}) != 1:
         raise InvalidInputError("mry_batch needs problems of one dimension")
-    s, white, b = (None if col[0] is None else np.stack(col)
-                   for col in list(zip(*(st.consts for st in setups)))[2:5])
-    z, u = (np.stack(col) for col in list(zip(*setups))[1:3])
+    s, white, b, z, u = (None if col[0] is None else np.stack(col)
+                         for col in list(zip(*setups))[:5])
     rho = [st.rho for st in setups]  # residual balancing adapts each one
     lam = np.array(lams).reshape(-1, 1, 1)
     outcomes = [None] * len(setups)

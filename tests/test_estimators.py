@@ -461,16 +461,16 @@ class TestMryBatch:
         spec = PrecisionEstimatorSpec(kind="mry", mry_penalty=penalty,
                                       mry_lambda=0.2)
         state = mry(a, spec).state
-        constants, set_up = estimators._mry_constants, []
-        monkeypatch.setattr(estimators, "_mry_constants",
-                            lambda cs, sp: set_up.append(cs) or constants(cs, sp))
+        cold, set_up = estimators._mry_cold, []
+        monkeypatch.setattr(estimators, "_mry_cold",
+                            lambda cs, sp: set_up.append(cs) or cold(cs, sp))
         for cs, sp, reused in [(a, spec.with_lambda(0.1), True),
                                (b, spec.with_lambda(0.1), False),
                                (a, replace(spec, mry_gamma=2.0), False)]:
             set_up.clear()
             fit = mry(cs, sp, warm_start=state)
             assert set_up == ([] if reused else [cs])
-            afresh = mry(cs, sp, warm_start=replace(state, _constants=None))
+            afresh = mry(cs, sp, warm_start=replace(state, _problem=None))
             assert _outcome(fit) == _outcome(afresh)
 
     def test_residual_norms_match_linalg_norm(self):

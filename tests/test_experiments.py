@@ -897,9 +897,9 @@ class TestTuneLambda:
     def test_each_tuning_problem_is_set_up_once(self, monkeypatch, penalty):
         # a problem's constants are set up at its first candidate, and its
         # warm state carries them along the penalty path
-        constants, set_up = estimators._mry_constants, []
-        monkeypatch.setattr(estimators, "_mry_constants",
-                            lambda cs, sp: set_up.append(cs) or constants(cs, sp))
+        cold, set_up = estimators._mry_cold, []
+        monkeypatch.setattr(estimators, "_mry_cold",
+                            lambda cs, sp: set_up.append(cs) or cold(cs, sp))
         monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 4)
         ds = blobs(np.random.default_rng(23), n_per=30, p=3, k=3, spread=3.0)
         pl = PipelineSpec(name="m", dims=(1, 2), estimator=PrecisionEstimatorSpec(
