@@ -13,6 +13,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  at import time: numpy 2 loads it on first use
 
 from .errors import (
     CsvParseError,

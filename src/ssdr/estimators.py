@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .datamodel import ClassSummary
 from .errors import (
@@ -41,7 +40,8 @@ from .errors import (
     SampleSizeError,
     SsdrError,
 )
-from .numerics import spd_cholesky, spd_logdet_and_inverse, sym_eigen, symmetrize
+from .numerics import (lower_solve, spd_cholesky, spd_logdet_and_inverse,
+                       sym_eigen, symmetrize)
 
 KINDS = ("sample_inverse", "haff", "wang", "bodnar", "mry")
 MRY_PENALTIES = ("simple", "qda")
@@ -464,7 +464,7 @@ def _mry_cold(cs: ClassSummary, spec: PrecisionEstimatorSpec) -> _MryProblem:
                 mean = (mean - mean.mean()) / sd
         b = np.column_stack([mean, spec.mry_gamma * np.eye(p)])  # (p, p+1)
         l_fac = spd_cholesky(b @ b.T)
-        l_inv = solve_triangular(l_fac, np.eye(p), lower=True)
+        l_inv = lower_solve(l_fac, np.eye(p))
         white = l_inv @ b
         s_loop = _symmetric_part(l_inv @ s @ l_inv.T)
     omega = np.diag(1.0 / np.maximum(np.diag(s), 1e-8))

@@ -54,6 +54,7 @@ from .estimators import (
 from .numerics import (
     cholesky_prefix,
     lower_solve,
+    median,
     spd_cholesky,
     svd_full,
     symmetrize,
@@ -306,9 +307,10 @@ def _sweep_cers(jobs, dims) -> list:
     (None), as a singular projected covariance is for qda.fit.
 
     The moments of every (job, class) are rotated by one stacked product and
-    each rotated covariance is factored alone; a job's test rows are scored
-    in blocks of _SWEEP_BLOCK_ROWS, each by one product with its classes'
-    stacked A. A job's result is the one it gets alone, bit for bit.
+    factored by one stacked Cholesky, and the whitening systems of equal q
+    are solved by one stacked solve; a job's test rows are scored in blocks
+    of _SWEEP_BLOCK_ROWS, each by one product with its classes' stacked A.
+    A job's result is the one it gets alone, bit for bit.
     """
     live = [job for job in jobs if job[2] is not None]
     if not live:
@@ -322,17 +324,31 @@ def _sweep_cers(jobs, dims) -> list:
     rot_means = (np.stack([cs.mean for cs in classes])[:, None, :]
                  @ bases)[:, 0, :]
     moments = iter(zip(classes, rot_means, *cholesky_prefix(rot_covs)))
+    plans = []  # (q, [(cs, mean, chol)], [A | a] blocks) of each live job
+    systems = []  # (blocks, q, L_q, [B_q' | B_q' mean]) of each class
+    for summaries, _, u in live:
+        q, parts, blocks = m, [], []
+        for cs, mean, chol, valid in itertools.islice(moments, len(summaries)):
+            q = min(q, valid, cs.n_i - 1)
+            parts.append((cs, mean, chol))
+        plans.append((q, parts, blocks))
+        systems += [(blocks, q, chol[:q, :q],
+                     np.column_stack([u[:, :q].T, mean[:q]]))
+                    for _, mean, chol in parts]
+    for q in {s[1] for s in systems}:  # one stacked solve per q
+        group = [s for s in systems if s[1] == q]
+        solved = lower_solve(np.stack([s[2] for s in group]),
+                             np.stack([s[3] for s in group]))
+        for (blocks, *_), white in zip(group, solved):
+            blocks.append(white)
+    plans = iter(plans)
     out = []
     for summaries, test, u in jobs:
         if u is None:
             out.append(None)
             continue
-        q, parts = m, []
-        for cs, mean, chol, valid in itertools.islice(moments, len(summaries)):
-            q = min(q, valid, cs.n_i - 1)
-            parts.append((cs, mean, chol))
-        white = np.concatenate([lower_solve(chol[:q, :q], np.column_stack(
-            [u[:, :q].T, mean[:q]])) for _, mean, chol in parts])  # [A | a]
+        q, parts, blocks = next(plans)
+        white = np.concatenate(blocks)  # [A | a]
         consts = np.stack([2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
                            - 2.0 * np.log(cs.prior) for cs, _, chol in parts])
         misses = np.zeros(q, dtype=np.int64)
@@ -746,7 +762,7 @@ def select_dimension(report: CerReport, method: str | None = None):
         raise InvalidInputError("report has no dimension sweep to select from")
     best_r, best_med = None, np.inf
     for c in sorted(dim_cells, key=lambda c: c.r):
-        med = float(np.median(c.rates))
+        med = median(c.rates)
         if med < best_med:  # strict < keeps the smallest r on ties
             best_r, best_med = c.r, med
     return best_r, best_med

@@ -1,15 +1,14 @@
 """Dense linear-algebra kernels with explicit accuracy contracts.
 
-Thin, validated wrappers around LAPACK (via numpy/scipy): rank-revealing SVD
-with a deterministic sign convention, Cholesky-based log-determinant and
-inverse for SPD matrices, and symmetric eigendecomposition. Everything here
-is a pure function; inputs are never modified.
+Thin, validated wrappers around the LAPACK that numpy links: rank-revealing
+SVD with a deterministic sign convention, Cholesky-based log-determinant and
+inverse for SPD matrices, symmetric eigendecomposition, and a median.
+Everything here is a pure function; inputs are never modified.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InvalidInputError, NotSpdError, NumericalDomainError
 
@@ -121,39 +120,45 @@ def numerical_rank(d: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def cholesky_prefix(s) -> tuple[np.ndarray, int]:
-    """Lower Cholesky factor of a symmetric matrix and its valid pivot count.
+    """Lower Cholesky factor of a symmetric matrix and its valid count.
 
-    Returns (L, q). When the factorization meets a non-positive pivot at
-    zero-based position j, q = j and only the leading q x q block of L is a
-    factor (of the leading q x q block of s); otherwise q is the order of s
-    and L L^T = s. For a (N, p, p) stack, L is the stack of factors and q
-    the list of counts. This is the one place that calls LAPACK dpotrf, one
-    matrix at a time.
+    Returns (L, q). When s factors, q is its order and L L^T = s. Otherwise
+    q is the order of the largest leading block of s that factors, found by
+    bisection over leading blocks (block q factors, block q + 1 does not),
+    and L holds that block's factor in its leading q x q block and zeros
+    elsewhere. For a (N, p, p) stack, L is the stack of factors and q the
+    list of counts: the stack is factored by one numpy call, and only when
+    that raises is each matrix factored alone (whole first, then bisected),
+    so each matrix gets its solo result bit for bit. This is the one place
+    that calls LAPACK potrf.
     """
     s = symmetrize(s)
     stack = s.reshape(-1, *s.shape[-2:])
-    valid = []
-    for j, m in enumerate(stack):
-        c, info = lapack.dpotrf(m, lower=1)
-        if info < 0:
-            raise InvalidInputError(
-                f"illegal value in argument {-info} of dpotrf")
-        stack[j] = c
-        valid.append(info - 1 if info > 0 else len(m))
-    return np.tril(s), (valid if s.ndim == 3 else valid[0])
+    n = stack.shape[-1]
+    try:
+        chol, valid = np.linalg.cholesky(stack), [n] * len(stack)
+    except np.linalg.LinAlgError:
+        chol, valid = np.zeros_like(stack), []
+        for c, m in zip(chol, stack):
+            lo, hi, mid = 0, n + 1, n  # block lo factors, block hi does not
+            while hi - lo > 1:
+                try:
+                    c[:mid, :mid] = np.linalg.cholesky(m[:mid, :mid])
+                    lo = mid
+                except np.linalg.LinAlgError:
+                    hi = mid
+                mid = (lo + hi) // 2
+            valid.append(lo)
+    return chol.reshape(s.shape), (valid if s.ndim == 3 else valid[0])
 
 
 def lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L z = b for a lower-triangular L with a nonzero diagonal, by
-    one LAPACK dtrtrs call: the arithmetic of scipy's
-    ``solve_triangular(L, b, lower=True)`` without its per-call checks. An
-    empty b gives an empty z."""
-    if b.size == 0:
-        return np.empty_like(b)
-    z, info = lapack.dtrtrs(chol.T, b, lower=0, trans=1)
-    if info != 0:
-        raise InvalidInputError(f"dtrtrs failed with info={info}")
-    return z
+    """Solve L z = b for a lower-triangular L with a nonzero diagonal, or
+    each system of a stack along leading axes, by one LAPACK LU solve
+    (``np.linalg.solve``); each system of a stack gets its solo result bit
+    for bit. The solve is backward stable, ||L z - b|| <= c p u ||L|| ||z||
+    (Higham 2002, ch. 8-9). An empty b gives an empty z."""
+    return np.linalg.solve(chol, b)
 
 
 def spd_cholesky(s) -> np.ndarray:
@@ -175,11 +180,18 @@ def spd_logdet_and_inverse(s) -> tuple[float, np.ndarray]:
     """
     chol = spd_cholesky(s)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    inv, info = lapack.dpotri(chol, lower=1)
-    if info != 0:
-        raise NotSpdError(f"dpotri failed with info={info}", pivot=None)
-    inv = np.tril(inv) + np.tril(inv, -1).T
-    return logdet, inv
+    l_inv = lower_solve(chol, np.eye(len(chol)))
+    inv = l_inv.T @ l_inv
+    return logdet, np.tril(inv) + np.tril(inv, -1).T
+
+
+def median(values) -> float:
+    """Median of nonempty finite values by sorting, bit for bit
+    ``np.median``: the middle value, or (a + b) / 2 of the middle two.
+    np.median imports numpy.ma on first use, which this avoids."""
+    s = np.sort(np.asarray(values, dtype=float), axis=None)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
 
 
 def sym_eigen(s) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 from .datamodel import ClassSummary, LabeledDataset
 from .errors import InvalidInputError, SchemaVersionError
 from .estimators import PrecisionEstimatorSpec, estimate
-from .numerics import spd_cholesky, spd_logdet_and_inverse, symmetrize
+from .numerics import median, spd_cholesky, spd_logdet_and_inverse, symmetrize
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class CerCell:
             "failures": self.failures,
         }
         if rates.size:
-            out["median"] = float(np.median(rates))
+            out["median"] = median(rates)
             out["mean"] = float(np.mean(rates))
             out["sd"] = float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0
         else:

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,3 +501,31 @@ class TestThreads:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("SSDR_THREADS", raising=False)
         assert resolve_threads(None) >= 1
+
+
+def test_studies_load_no_scipy_and_no_module_after_import(tmp_path):
+    # start-up is import time: scipy is never loaded, and a study loads no
+    # module of its own (numpy 2 imports numpy.random on first use, and
+    # np.median imports numpy.ma)
+    write_blob_csv(tmp_path / "blobs.csv", np.random.default_rng(8))
+    code = f"""
+import sys
+from ssdr import cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+before = set(sys.modules)
+out = {str(tmp_path)!r}
+assert cli.main(["simulate", "--config-id", "1", "--n-policy", "p+1",
+                 "--replicates", "2", "--seed", "3", "--threads", "1",
+                 "--out-dir", out]) == 0
+assert cli.main(["cv", "--data", out + "/blobs.csv", "--estimator", "mry",
+                 "--standardize", "--jitter", "1e-5", "--folds", "3",
+                 "--inner-folds", "2", "--repeats", "1", "--seed", "4",
+                 "--threads", "1", "--out-dir", out]) == 0
+print(sorted(set(sys.modules) - before))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

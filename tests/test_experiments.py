@@ -697,6 +697,15 @@ class TestSelectDimension:
         rep.cell("qda_full", None).rates = [0.01]
         assert select_dimension(rep, method="m")[0] == 1
 
+    def test_matches_argmin_of_np_median(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            meds = {r: list(rng.integers(0, 6, size=int(rng.integers(1, 12)))
+                            / 40.0) for r in range(1, 9)}
+            want = min(meds, key=lambda r: (float(np.median(meds[r])), r))
+            got = select_dimension(self._report(meds))
+            assert got == (want, float(np.median(meds[want])))
+
 
 class TestTuneLambda:
     def test_grid_anchored_at_largest_off_diagonal_covariance(self):

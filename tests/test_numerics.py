@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from ssdr.errors import InvalidInputError, NotSpdError, NumericalDomainError
 from ssdr.numerics import (
     cholesky_prefix,
     lower_solve,
+    median,
     reduced_svd,
     svd_full,
+    spd_cholesky,
     spd_logdet_and_inverse,
     sym_eigen,
     symmetrize,
@@ -186,14 +190,59 @@ class TestCholeskyPrefix:
         assert valid[:2] == [5, 2]
 
 
-def test_lower_solve_is_solve_triangular_bit_for_bit():
+def test_lower_solve_agrees_with_solve_triangular_and_is_backward_stable():
     rng = np.random.default_rng(35)
-    for p in (1, 2, 5, 9):
+    u = np.finfo(float).eps / 2
+    for p in (1, 2, 5, 9, 50):
         chol = cholesky_prefix(random_spd(rng, p))[0]
+        norm_l = np.linalg.norm(chol, 2)
         for b in (rng.normal(size=(p, 7)), rng.normal(size=(7, p)).T,
                   np.empty((p, 0))):
-            assert lower_solve(chol, b).tobytes() == solve_triangular(
-                chol, b, lower=True, check_finite=False).tobytes()
+            z = lower_solve(chol, b)
+            ref = solve_triangular(chol, b, lower=True, check_finite=False)
+            assert z.shape == b.shape
+            assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+            for zj, bj in zip(z.T, b.T):
+                assert np.linalg.norm(chol @ zj - bj) <= \
+                    10 * p * u * norm_l * np.linalg.norm(zj)
+        stack = np.stack([chol] + [cholesky_prefix(random_spd(rng, p))[0]
+                                   for _ in range(3)])
+        rhs = rng.normal(size=(4, p, 6))
+        for zs, c, b in zip(lower_solve(stack, rhs), stack, rhs):
+            assert zs.tobytes() == lower_solve(c, b).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_cholesky_prefix_of_rank_deficient_gram(n, r, seed):
+    # the ML covariance of n_i <= p rows is a Gram matrix of rank < p
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, min(r, n - 1)))
+    s = symmetrize(g @ g.T)
+    chol, valid = cholesky_prefix(s)
+    lead = chol[:valid, :valid]
+    np.testing.assert_allclose(lead @ lead.T, s[:valid, :valid], rtol=0,
+                               atol=1e-10 * max(1.0, np.abs(s).max()))
+    assert not chol[valid:].any() and not chol[:, valid:].any()
+    if valid < n:
+        with pytest.raises(NotSpdError):
+            spd_cholesky(s[:valid + 1, :valid + 1])
+    stack = np.stack([s, random_spd(rng, n), s[::-1, ::-1]])
+    chols, counts = cholesky_prefix(stack)
+    for m, c, v in zip(stack, chols, counts):
+        alone, alone_valid = cholesky_prefix(m)
+        assert c.tobytes() == alone.tobytes() and v == alone_valid
+
+
+def test_median_is_np_median_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for size in range(1, 61):  # odd and even
+        draws = (rng.normal(size=size), rng.integers(0, 4, size=size) / 7.0,
+                 rng.integers(0, 50, size=size) / 9898.0, np.full(size, 0.1))
+        for values in draws:  # ties in all but the first
+            want = np.float64(np.median(values)).tobytes()
+            assert np.float64(median(values)).tobytes() == want
+            assert np.float64(median(list(values))).tobytes() == want
 
 
 class TestSymEigen:
