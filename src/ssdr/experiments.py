@@ -3,28 +3,29 @@
 A pipeline is one precision estimator plus a sweep over reduced dimensions.
 A work unit (a Monte Carlo replicate, or a CV repeat of k folds)
 studentizes each training/test split if the pipeline asks
-(``_studentized``) and hands its splits to ``_split_cers``, the one path
-from splits to rates: it tunes the MRY penalty of every training set of the
-unit in one ``tune_lambda`` call if asked, and then, per split, builds the
-discriminant matrix; one stacked SVD (``_bases``) gives every split its
-projection basis, and one ``_sweep_cers`` pass records for each split and
-r the estimated conditional error rate of plain QDA on the class summaries
-rotated onto the basis, applied to the projected test data. One Cholesky
-factor L per class serves every r of the sweep: test rows are scored
+(``_studentized``) and turns them into sweep jobs (``_split_jobs``): it
+tunes the MRY penalty of every training set of the unit in one
+``tune_lambda`` call if asked, then, per split, builds the discriminant
+matrix, and one stacked SVD (``_bases``) gives every split its projection
+basis U. The full-feature baseline "qda_full" is one more job per split,
+with U = I_p and r = p (``_full_job``), so it and every reduced cell come
+from one QDA rule. The unit's one ``_sweep_cers`` pass records for each
+job and r the estimated conditional error rate of plain QDA on the class
+summaries rotated onto the basis, applied to the projected test data. One
+Cholesky factor L per class serves every r of a job: test rows are scored
 through the whitened projection L^-1 B' (B the basis), one matrix product
-per split and block of test rows for all its classes. The full-feature QDA
-error is always recorded as a baseline under the method name "qda_full";
-``_study_report`` turns the per-unit results into a CerReport. A split
-(``_Split``) summarizes its training part once, for the tuning grid, the
-final fit and the baseline; pipelines that do not studentize share the
-unit's raw split. Penalty tuning summarizes each tuning split once, solves
-candidate k of every training set as one ``mry_batch`` over every (set,
-split, class) problem, each solve resuming the final ADMM state of its
-solve at the previous candidate, and scores candidate k of every (set,
-split) job in one stacked pass: one ``discriminant_matrix_from`` over the
-stack, one ``_bases`` SVD and one ``_sweep_cers``. Every stacked step gives
-each job its result alone bit for bit, and a job that fails (a non-finite
-matrix, an SVD that does not converge, a failed pivot) fails alone.
+per job and block of test rows for all its classes. ``_study_report``
+turns the per-unit results into a CerReport. A split (``_Split``)
+summarizes its training part once, for the tuning grid, the final fit and
+the baseline; pipelines that do not studentize share the unit's raw split.
+Penalty tuning summarizes each tuning split once, solves candidate k of
+every training set as one ``mry_batch`` over every (set, split, class)
+problem, each solve resuming the final ADMM state of its solve at the
+previous candidate, and scores candidate k of every (set, split) job in one
+stacked pass: one ``discriminant_matrix_from`` over the stack, one
+``_bases`` SVD and one ``_sweep_cers``. Every stacked step gives each job
+its result alone bit for bit, and a job that fails (a non-finite matrix, an
+SVD that does not converge, a failed pivot) fails alone.
 
 Reproducibility contract: every work unit (replicate, repeat, tuning split)
 derives its RNG stream from the master seed and the unit index via
@@ -34,14 +35,13 @@ identical for any parallelism degree.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from . import qda
 from .datamodel import LabeledDataset, jitter, standardize, summarize
 from .errors import InvalidInputError, SsdrError, StratificationError, TuningError
 from .estimators import (
@@ -67,8 +67,6 @@ _NS_PARAMS = 0
 _NS_REPLICATE = 1
 _NS_CV_REPEAT = 2
 _NS_JITTER = 3
-
-_SAMPLE_SPEC = PrecisionEstimatorSpec(kind="sample_inverse")
 
 N_POLICIES = ("p+1", "2p", "6p")
 
@@ -250,7 +248,7 @@ def _stream(seed: int, *spawn_key) -> np.random.Generator:
 class _Split:
     """A training/test split of a work unit. Its training part is
     summarized once, on first use, for every consumer of the split: the
-    tuning grid, the final fit and the qda_full baseline."""
+    tuning grid, the final fit and the qda_full job."""
 
     train: LabeledDataset
     test: LabeledDataset | None
@@ -260,13 +258,16 @@ class _Split:
         return summarize(self.train)
 
 
-def _full_qda_cer(split: _Split) -> float | None:
-    """Full-feature sample-inverse QDA error; None when the fit fails."""
-    try:
-        return qda.conditional_error_rate(
-            qda.fit(split.summaries, _SAMPLE_SPEC), split.test)
-    except SsdrError:
-        return None
+def _full_job(split: _Split | None, p: int) -> tuple:
+    """The split's qda_full sweep job: its summaries and test set with
+    U = I_p, scored at r = p only. U is None when the split is None or its
+    training part cannot be summarized."""
+    if split is not None:
+        try:
+            return split.summaries, split.test, np.eye(p), (p,)
+        except SsdrError:
+            pass
+    return None, None, None, (p,)
 
 
 def _bases(mhats) -> list:
@@ -287,9 +288,9 @@ def _bases(mhats) -> list:
     return bases
 
 
-def _sweep_cers(jobs, dims) -> list:
-    """Reduced-QDA error per r in dims of each job (summaries, test, U), in
-    one pass over every job; None for a job whose U is None.
+def _sweep_cers(jobs) -> list:
+    """Reduced-QDA error per r in dims of each job (summaries, test, U,
+    dims), in one pass over every job; None for a job whose U is None.
 
     Each class summary is rotated onto B, the first max(dims) columns of its
     job's U, as mean B and B' S B, not re-estimated from projected rows; the
@@ -304,68 +305,67 @@ def _sweep_cers(jobs, dims) -> list:
     and max(dims): the ML covariance of n_i rows has rank at most n_i - 1,
     so every larger block is exactly singular and only roundoff would decide
     whether its pivot passes. An r past any class's prefix is missing
-    (None), as a singular projected covariance is for qda.fit.
+    (None); so is r = p of a U = I_p job (qda_full) when some n_i <= p.
 
-    The moments of every (job, class) are rotated by one stacked product and
-    factored by one stacked Cholesky, and the whitening systems of equal q
-    are solved by one stacked solve; a job's test rows are scored in blocks
-    of _SWEEP_BLOCK_ROWS, each by one product with its classes' stacked A.
-    A job's result is the one it gets alone, bit for bit.
+    The moments of every (job, class) of equal max(dims) are rotated by one
+    stacked product and factored by one stacked Cholesky, and the whitening
+    systems of equal q are solved by one stacked solve; a job's test rows
+    are scored in blocks of _SWEEP_BLOCK_ROWS, each by one product with its
+    classes' stacked A, and compared at its dims only. A job's result is the
+    one it gets alone, bit for bit.
     """
-    live = [job for job in jobs if job[2] is not None]
-    if not live:
-        return [None] * len(jobs)
-    m = max(dims)
-    owner = np.repeat(np.arange(len(live)), [len(job[0]) for job in live])
-    bases = np.stack([u[:, :m] for _, _, u in live])[owner]
-    classes = [cs for summaries, _, _ in live for cs in summaries]
-    rot_covs = (bases.transpose(0, 2, 1)
-                @ np.stack([cs.cov for cs in classes]) @ bases)
-    rot_means = (np.stack([cs.mean for cs in classes])[:, None, :]
-                 @ bases)[:, 0, :]
-    moments = iter(zip(classes, rot_means, *cholesky_prefix(rot_covs)))
-    plans = []  # (q, [(cs, mean, chol)], [A | a] blocks) of each live job
+    live = {i: job for i, job in enumerate(jobs) if job[2] is not None}
+    plans = {}  # (q, [(cs, mean, L, valid)], [A | a] blocks) of each job
     systems = []  # (blocks, q, L_q, [B_q' | B_q' mean]) of each class
-    for summaries, _, u in live:
-        q, parts, blocks = m, [], []
-        for cs, mean, chol, valid in itertools.islice(moments, len(summaries)):
-            q = min(q, valid, cs.n_i - 1)
-            parts.append((cs, mean, chol))
-        plans.append((q, parts, blocks))
-        systems += [(blocks, q, chol[:q, :q],
-                     np.column_stack([u[:, :q].T, mean[:q]]))
-                    for _, mean, chol in parts]
+    for m in {max(job[3]) for job in live.values()}:  # one rotation per m
+        group = [i for i, job in live.items() if max(job[3]) == m]
+        classes = [cs for i in group for cs in live[i][0]]
+        bases = np.stack([live[i][2][:, :m] for i in group for _ in live[i][0]])
+        rot_covs = (bases.transpose(0, 2, 1)
+                    @ np.stack([cs.cov for cs in classes]) @ bases)
+        rot_means = (np.stack([cs.mean for cs in classes])[:, None, :]
+                     @ bases)[:, 0, :]
+        moments = zip(classes, rot_means, *cholesky_prefix(rot_covs))
+        for i in group:
+            summaries, _, u, _ = live[i]
+            parts = list(islice(moments, len(summaries)))
+            q = min(m, *(min(valid, cs.n_i - 1) for cs, *_, valid in parts))
+            plans[i] = q, parts, []
+            systems += [(plans[i][2], q, chol[:q, :q],
+                         np.column_stack([u[:, :q].T, mean[:q]]))
+                        for _, mean, chol, _ in parts]
     for q in {s[1] for s in systems}:  # one stacked solve per q
         group = [s for s in systems if s[1] == q]
         solved = lower_solve(np.stack([s[2] for s in group]),
                              np.stack([s[3] for s in group]))
         for (blocks, *_), white in zip(group, solved):
             blocks.append(white)
-    plans = iter(plans)
-    out = []
-    for summaries, test, u in jobs:
-        if u is None:
-            out.append(None)
-            continue
-        q, parts, blocks = next(plans)
+    out = [None] * len(jobs)
+    for i, (q, parts, blocks) in plans.items():
+        _, test, _, dims = jobs[i]
+        scored = sorted(r for r in dims if r <= q)
+        # the rows of r compared: a view when they are all of 1..q
+        pick = slice(None) if len(scored) == q else [r - 1 for r in scored]
         white = np.concatenate(blocks)  # [A | a]
         consts = np.stack([2.0 * np.cumsum(np.log(np.diag(chol[:q, :q])))
-                           - 2.0 * np.log(cs.prior) for cs, _, chol in parts])
-        misses = np.zeros(q, dtype=np.int64)
+                           - 2.0 * np.log(cs.prior)
+                           for cs, _, chol, _ in parts])[:, pick, None]
+        misses = np.zeros(len(scored), dtype=np.int64)
         for start in range(0, test.n, _SWEEP_BLOCK_ROWS):
             rows = slice(start, start + _SWEEP_BLOCK_ROWS)
             z = white[:, :-1] @ test.features[rows].T - white[:, -1:]
             score = np.square(z, out=z).reshape(len(parts), q, z.shape[1])
             for r in range(1, q):  # cumsum's sequential sums, across rows
                 score[:, r] += score[:, r - 1]
-            score += consts[:, :, None]
+            score = score[:, pick]
+            score += consts
             best, pred = score[0], np.full(score.shape[1:], parts[0][0].class_id)
-            for (cs, _, _), s in zip(parts[1:], score[1:]):
+            for (cs, *_), s in zip(parts[1:], score[1:]):
                 pred[s < best] = cs.class_id
                 np.minimum(best, s, out=best)
             misses += np.count_nonzero(pred != test.labels[rows], axis=1)
-        out.append({r: float(misses[r - 1] / test.n) if r <= q else None
-                    for r in dims})
+        out[i] = dict.fromkeys(dims)
+        out[i].update(zip(scored, (misses / test.n).tolist()))
     return out
 
 
@@ -381,9 +381,9 @@ def _studentized(split: _Split, pipeline: PipelineSpec):
         return None
 
 
-def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
+def _split_jobs(splits, pipeline: PipelineSpec, rngs, dims,
                 inner_folds: int | None = None) -> list:
-    """Each split's error per r in dims for one pipeline.
+    """Each split's sweep job (summaries, test, U, dims) for one pipeline.
 
     ``splits`` are a work unit's splits as the pipeline sees them
     (``_studentized``), None where the training part could not be
@@ -391,9 +391,8 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
     split's tuning splits. A tuning MRY pipeline first tunes the penalty of
     every usable training set in one ``tune_lambda`` call. Then, per split,
     the class precisions are fitted and the discriminant matrix is built;
-    the matrices of all splits share one ``_bases`` SVD and one
-    ``_sweep_cers`` pass. A split that is None, whose tuning failed or whose
-    fit or SVD failed has every r missing.
+    the matrices of all splits share one ``_bases`` SVD. U is None for a
+    split that is None, whose tuning failed or whose fit or SVD failed.
     """
     spec = pipeline.estimator
     usable = [i for i, split in enumerate(splits) if split is not None]
@@ -412,15 +411,11 @@ def _split_cers(splits, pipeline: PipelineSpec, rngs, dims,
             fitted[i] = build_discriminant_matrix(splits[i].summaries, fit_spec)
         except SsdrError:
             pass  # every r stays missing
-    out = [dict.fromkeys(dims) for _ in splits]
+    jobs = [(None, None, None, dims)] * len(splits)
     if fitted:
-        bases = _bases(np.stack(list(fitted.values())))
-        swept = _sweep_cers([(splits[i].summaries, splits[i].test, u)
-                             for i, u in zip(fitted, bases)], dims)
-        for i, cers in zip(fitted, swept):
-            if cers is not None:
-                out[i] = cers
-    return out
+        for i, u in zip(fitted, _bases(np.stack(list(fitted.values())))):
+            jobs[i] = (splits[i].summaries, splits[i].test, u, dims)
+    return jobs
 
 
 def lambda_grid(summaries) -> np.ndarray:
@@ -587,8 +582,8 @@ def tune_lambda(splits, pipeline: PipelineSpec, rngs,
              for c in classes],
             [np.stack([omegas[c] for _, _, omegas in scored])
              for c in classes])
-        swept = _sweep_cers([(sp.summaries, sp.val, u) for (_, sp, _), u
-                             in zip(scored, _bases(mhats))], dims)
+        swept = _sweep_cers([(sp.summaries, sp.val, u, dims) for (_, sp, _), u
+                             in zip(scored, _bases(mhats))])
         for (lam, sp, _), cers in zip(scored, swept):
             vals = [v for v in (cers or {}).values() if v is not None]
             sp.scores[lam] = min(vals) if vals else None
@@ -609,13 +604,15 @@ def _mc_replicate_worker(args) -> dict:
         LabeledDataset(np.vstack([x[cfg.n_i:] for x in pools]),
                        np.repeat(np.arange(cfg.k), cfg.pool_size - cfg.n_i)))
 
-    out = {("qda_full", None): _full_qda_cer(split)}
+    jobs = [_full_job(split, cfg.p)]
     for idx, pl in enumerate(pipelines):
-        dims = pl.resolved_dims(cfg.p)
-        cers, = _split_cers([_studentized(split, pl)], pl,
+        jobs += _split_jobs([_studentized(split, pl)], pl,
                             [_stream(cfg.master_seed, _NS_REPLICATE, j, idx)],
-                            dims)
-        out.update(((pl.name, r), cers[r]) for r in dims)
+                            pl.resolved_dims(cfg.p))
+    full, *swept = _sweep_cers(jobs)
+    out = {("qda_full", None): (full or {}).get(cfg.p)}
+    for pl, (*_, dims), cers in zip(pipelines, jobs[1:], swept):
+        out.update(((pl.name, r), (cers or {}).get(r)) for r in dims)
     return out
 
 
@@ -654,7 +651,8 @@ def run_mc_study(cfg: SimulationConfig, pipelines,
     error rates for the full-feature baseline and every (pipeline, r).
 
     Estimator failures mark cells missing for that replicate and are counted
-    in the report, never fatal.
+    in the report, never fatal. The baseline is the sweep's QDA at r = p
+    with U = I_p, so it is missing when a training class has n_i <= p.
     """
     pipelines = list(pipelines)
     names = [pl.name for pl in pipelines]
@@ -687,14 +685,13 @@ def _cv_repeat_worker(args) -> dict:
     splits = [_studentized(_Split(ds.subset(fold_ids != f),
                                   ds.subset(fold_ids == f)), pipeline)
               for f in range(folds)]
-    fold_cers = _split_cers(
+    # unlike the Monte Carlo baseline, qda_full sees the studentized fold
+    jobs = [_full_job(split, ds.p) for split in splits] + _split_jobs(
         splits, pipeline, [_stream(seed, _NS_CV_REPEAT, t, f)
                            for f in range(folds)], dims, inner_folds)
-    # unlike the Monte Carlo baseline, qda_full sees the studentized fold
-    per_fold = {("qda_full", None): [None if split is None
-                                     else _full_qda_cer(split)
-                                     for split in splits]}
-    per_fold.update(((pipeline.name, r), [cers[r] for cers in fold_cers])
+    swept = [cers or {} for cers in _sweep_cers(jobs)]
+    per_fold = {("qda_full", None): [c.get(ds.p) for c in swept[:folds]]}
+    per_fold.update(((pipeline.name, r), [c.get(r) for c in swept[folds:]])
                     for r in dims)
     return {key: None if None in vals else float(np.mean(vals))
             for key, vals in per_fold.items()}
@@ -712,7 +709,8 @@ def repeated_kfold_cv(ds: LabeledDataset, pipeline: PipelineSpec,
     over ``inner_folds`` stratified inner folds. Jitter (when
     ``jitter_sigma`` is given) is applied once to the full dataset up front
     with a seed derived from the master seed; studentization is fitted per
-    training fold.
+    training fold. qda_full, the sweep's QDA at r = p with U = I_p on the
+    studentized fold, is missing when a training class has n_i <= p.
     """
     for name, value, least in (("folds", folds, 2),
                                ("inner_folds", inner_folds, 2),

@@ -75,8 +75,8 @@ def _serial_grid_scores(sub, val, pipeline, grid, failures):
                 u_full, _, _ = svd_full(discriminant_matrix_from(
                     [cs.mean for cs in summaries],
                     [cs.cov for cs in summaries], omegas))
-                cers, = _sweep_cers([(summaries, val, u_full)],
-                                    pipeline.resolved_dims(sub.p))
+                cers, = _sweep_cers([(summaries, val, u_full,
+                                      pipeline.resolved_dims(sub.p))])
             except SsdrError:
                 continue
             vals = [v for v in cers.values() if v is not None]
@@ -236,6 +236,16 @@ class TestRunMcStudy:
         rep = run_mc_study(cfg, [pl], threads=1)
         assert rep.cell("m", 1).failures == 2
         assert rep.cell("qda_full", None).failures == 0
+
+    def test_qda_full_fails_when_training_classes_are_singular(self):
+        # n_i = p = 10, so every class's ML covariance is exactly singular
+        # and only roundoff could pass its pivots; qda_full is missing in
+        # every replicate, as every r >= n_i of a sweep is
+        cfg = simulation_config(1, 10, replicates=10, master_seed=3,
+                                pool_size=600)
+        rep = run_mc_study(cfg, [], threads=1)
+        assert rep.cell("qda_full", None).failures == 10
+        assert rep.cell("qda_full", None).rates == []
 
     def test_bayes_oracle_with_large_training_set(self):
         cfg = simulation_config(1, 2000, replicates=3, master_seed=8)
@@ -516,7 +526,7 @@ class TestSweepCers:
     def test_matches_per_r_fits_when_classes_exceed_p(self, problem):
         train, test, u_full, dims = problem
         assert test.n > _SWEEP_BLOCK_ROWS and test.n % _SWEEP_BLOCK_ROWS
-        got, = _sweep_cers([(summarize(train), test, u_full)], dims)
+        got, = _sweep_cers([(summarize(train), test, u_full, dims)])
         assert got == reference_sweep(train, test, u_full, dims)
         assert None not in got.values()
 
@@ -527,7 +537,7 @@ class TestSweepCers:
         train, test, u_full, dims = sweep_problem(
             np.random.default_rng(50 + k), 50, [100] * k, blocks=3)
         assert test.n > 3 * _SWEEP_BLOCK_ROWS and test.n % _SWEEP_BLOCK_ROWS
-        got, = _sweep_cers([(summarize(train), test, u_full)], dims)
+        got, = _sweep_cers([(summarize(train), test, u_full, dims)])
         assert got == reference_sweep(train, test, u_full, dims)
         assert None not in got.values()
 
@@ -544,15 +554,15 @@ class TestSweepCers:
         shift = size * train.features.std(axis=0).max() * direction
         moved = _sweep_cers([(
             summarize(train.with_features(train.features + shift)),
-            test.with_features(test.features + shift), u_full)], dims)
-        assert moved == _sweep_cers([(summarize(train), test, u_full)], dims)
+            test.with_features(test.features + shift), u_full, dims)])
+        assert moved == _sweep_cers([(summarize(train), test, u_full, dims)])
 
     @settings(max_examples=25, deadline=None)
     @given(sweep_problems(n_lo=lambda p: 2, n_hi=lambda p: p))
     def test_dims_past_smallest_class_are_missing(self, problem):
         train, test, u_full, dims = problem
         cap = int(train.class_counts().min()) - 1
-        got, = _sweep_cers([(summarize(train), test, u_full)], dims)
+        got, = _sweep_cers([(summarize(train), test, u_full, dims)])
         ref = reference_sweep(train, test, u_full, dims)
         assert {r: got[r] for r in dims if r <= cap} == \
             {r: ref[r] for r in dims if r <= cap}
@@ -564,7 +574,7 @@ class TestSweepCers:
         feats[:20, 0] = 0.0  # class 0 has no spread along the first axis
         ds = LabeledDataset(feats, [0] * 20 + [1] * 20)
         dims = (1, 2, 3)
-        got, = _sweep_cers([(summarize(ds), ds, np.eye(3))], dims)
+        got, = _sweep_cers([(summarize(ds), ds, np.eye(3), dims)])
         assert got == reference_sweep(ds, ds, np.eye(3), dims)
         assert got == {1: None, 2: None, 3: None}
 
@@ -575,14 +585,15 @@ class TestSweepCers:
         train, test, u_full, dims = problem
         perm = np.random.default_rng(seed).permutation(test.n)
         summaries = summarize(train)
-        assert _sweep_cers([(summaries, test.subset(perm), u_full)], dims) == \
-            _sweep_cers([(summaries, test, u_full)], dims)
+        assert _sweep_cers([(summaries, test.subset(perm), u_full, dims)]) \
+            == _sweep_cers([(summaries, test, u_full, dims)])
 
 
 @st.composite
 def scoring_jobs(draw):
     """Jobs of k classes and p features that are scored together: class
-    summaries, a test set and class precisions each, and a dimension sweep.
+    summaries, a test set, class precisions and a dimension sweep each, the
+    sweeps of mixed widths and in any order.
 
     A job's kind breaks it on purpose: "pivot" gives its last class a zero
     covariance (the first pivot fails), "small" gives its first class fewer
@@ -591,13 +602,14 @@ def scoring_jobs(draw):
     """
     k = draw(st.sampled_from([2, 3]))
     p = draw(st.integers(2, 5))
-    dims = tuple(sorted(draw(st.sets(st.integers(1, p), min_size=1))))
     kinds = draw(st.lists(st.sampled_from(
         ["plain", "pivot", "small", "nonfinite", "svd"]),
         min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     jobs = []
     for kind in kinds:
+        dims = tuple(draw(st.lists(st.integers(1, p), min_size=1, max_size=p,
+                                   unique=True)))
         summaries, omegas, test_x, test_y = [], [], [], []
         for c in range(k):
             n = int(rng.integers(2, p + 1)) if kind == "small" and c == 0 \
@@ -618,22 +630,23 @@ def scoring_jobs(draw):
             omegas[0][0, 0] = np.nan
         jobs.append((kind, summaries, omegas,
                      LabeledDataset(np.vstack(test_x),
-                                    np.concatenate(test_y))))
-    return jobs, dims
+                                    np.concatenate(test_y)), dims))
+    return jobs
 
 
 class TestStackedScoring:
     @settings(max_examples=40, deadline=None)
     @given(scoring_jobs())
-    def test_each_job_gets_its_result_alone(self, problem):
-        # J jobs assembled, decomposed and swept together give each job
-        # exactly what it gets as the only job
-        jobs, dims = problem
+    def test_each_job_gets_its_result_alone(self, jobs):
+        # J jobs and the qda_full job (U = I_p, dims (p,)) of each,
+        # assembled, decomposed and swept together, give each job exactly
+        # what it gets as the only job
         classes = range(len(jobs[0][1]))
+        p = jobs[0][1][0].mean.size
         mhats = discriminant_matrix_from(
-            [np.stack([s[c].mean for _, s, _, _ in jobs]) for c in classes],
-            [np.stack([s[c].cov for _, s, _, _ in jobs]) for c in classes],
-            [np.stack([o[c] for _, _, o, _ in jobs]) for c in classes])
+            [np.stack([s[c].mean for _, s, _, _, _ in jobs]) for c in classes],
+            [np.stack([s[c].cov for _, s, _, _, _ in jobs]) for c in classes],
+            [np.stack([o[c] for _, _, o, _, _ in jobs]) for c in classes])
         failing = {m.tobytes() for (kind, *_), m in zip(jobs, mhats)
                    if kind == "svd"}
         svd = np.linalg.svd
@@ -646,17 +659,24 @@ class TestStackedScoring:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "svd", flaky_svd)
             bases = experiments._bases(mhats)
-            together = _sweep_cers([(s, t, u) for (_, s, _, t), u
-                                    in zip(jobs, bases)], dims)
-            for (kind, s, o, t), mhat, u, got in zip(jobs, mhats, bases,
-                                                     together):
+            full = [(s, t, np.eye(p), (p,)) for _, s, _, t, _ in jobs]
+            swept = _sweep_cers(full + [
+                (s, t, u, dims) for (_, s, _, t, dims), u in zip(jobs, bases)])
+            for (kind, s, *_), job, got in zip(jobs, full, swept):
+                assert got == _sweep_cers([job])[0]
+                if kind in ("pivot", "small"):
+                    assert got == {p: None}
+                else:
+                    assert got[p] is not None
+            for (kind, s, o, t, dims), mhat, u, got in zip(
+                    jobs, mhats, bases, swept[len(jobs):]):
                 alone_mhat = discriminant_matrix_from(
                     [cs.mean for cs in s], [cs.cov for cs in s], o)
                 assert alone_mhat.tobytes() == mhat.tobytes()
                 alone_u, = experiments._bases(alone_mhat[None])
                 assert (u is None) == (alone_u is None)
                 assert u is None or u.tobytes() == alone_u.tobytes()
-                assert got == _sweep_cers([(s, t, alone_u)], dims)[0]
+                assert got == _sweep_cers([(s, t, alone_u, dims)])[0]
                 if kind in ("nonfinite", "svd"):
                     assert got is None
                 elif kind == "pivot":
@@ -664,6 +684,63 @@ class TestStackedScoring:
                 elif kind == "small":
                     assert all(got[r] is None for r in dims
                                if r > s[0].n_i - 1)
+
+    def test_a_work_unit_makes_one_sweep(self, monkeypatch):
+        # every pipeline's splits and the qda_full job of each split, a
+        # U = I_p job at r = p, share one _sweep_cers call per work unit
+        sweep, calls = experiments._sweep_cers, []
+
+        def spy_sweep(jobs):
+            calls.append([(u is not None and np.array_equal(u, np.eye(len(u))),
+                           dims) for _, _, u, dims in jobs])
+            return sweep(jobs)
+
+        monkeypatch.setattr(experiments, "_sweep_cers", spy_sweep)
+        cfg = simulation_config(1, "2p", replicates=1, master_seed=5)
+        pipelines = [
+            PipelineSpec(name="a", estimator=SAMPLE, dims=(1, 2, 3)),
+            PipelineSpec(name="b", standardize=True,
+                         estimator=PrecisionEstimatorSpec(kind="haff"))]
+        out = experiments._mc_replicate_worker((cfg, pipelines, 0))
+        assert calls == [[(True, (10,)), (False, (1, 2, 3)),
+                          (False, tuple(range(1, 11)))]]
+        assert len(out) == 1 + 3 + 10 and None not in out.values()
+        calls.clear()
+        ds = blobs(np.random.default_rng(21), n_per=30, p=4, k=3, spread=3.0)
+        out = experiments._cv_repeat_worker(
+            (ds, pipelines[1], 3, 0, 0, (1, 2, 3, 4), 3))
+        assert calls == [[(True, (4,))] * 3 + [(False, (1, 2, 3, 4))] * 3]
+        assert len(out) == 1 + 4 and None not in out.values()
+
+
+class TestFullQdaJob:
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_problems(n_lo=lambda p: p + 1, n_hi=lambda p: p + 8))
+    def test_matches_full_feature_qda_fit(self, problem):
+        # with every n_i > p, the U = I_p job at r = p is plain QDA on the
+        # sample inverses, to the last misclassified row
+        train, test, _, _ = problem
+        split = _Split(train, test)
+        want = qda.conditional_error_rate(qda.fit(split.summaries, SAMPLE),
+                                          test)
+        assert _sweep_cers([experiments._full_job(split, train.p)]) == \
+            [{train.p: want}]
+
+    def test_class_with_n_i_at_most_p_is_missing(self):
+        # class 0 has 5 rows in p = 6, so its ML covariance is exactly
+        # singular; on this draw qda.fit's pivots pass by roundoff, so
+        # scoring qda_full through qda.fit gave it a rate
+        p, rng = 6, np.random.default_rng(53)
+
+        def draw(n0, n1):
+            return LabeledDataset(
+                np.vstack([rng.normal(size=(n0, p)),
+                           rng.normal(size=(n1, p)) + 1.0]),
+                np.repeat([0, 1], [n0, n1]))
+
+        split = _Split(draw(5, 12), draw(40, 40))
+        assert _sweep_cers([experiments._full_job(split, p)]) == [{p: None}]
+        assert experiments._full_job(None, p)[2] is None
 
 
 class TestSelectDimension:
@@ -792,9 +869,9 @@ class TestTuneLambda:
             lams.append(lambdas[0])
             return batch(summaries, spec, warm_starts, lambdas)
 
-        def spy_sweep(jobs, dims):
-            swept = sweep(jobs, dims)
-            for (_, val, _), cers in zip(jobs, swept):
+        def spy_sweep(jobs):
+            swept = sweep(jobs)
+            for (_, val, _, _), cers in zip(jobs, swept):
                 vals = [v for v in (cers or {}).values() if v is not None]
                 seen[lams[-1], val.features.tobytes()] = \
                     min(vals) if vals else None
@@ -838,10 +915,10 @@ class TestTuneLambda:
             omegas[:] = [[o.tobytes() for o in job] for job in zip(*stacked)]
             return assemble(means, covs, stacked)
 
-        def spy_sweep(jobs, dims):
-            swept = sweep(jobs, dims)
+        def spy_sweep(jobs):
+            swept = sweep(jobs)
             assert len(jobs) == len(omegas)
-            for (_, val, _), cers, job_omegas in zip(jobs, swept, omegas):
+            for (_, val, _, _), cers, job_omegas in zip(jobs, swept, omegas):
                 seen.setdefault(val.features.tobytes(), []).append(
                     (cers, job_omegas))
             return swept

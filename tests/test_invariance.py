@@ -30,7 +30,8 @@ from ssdr.estimators import PrecisionEstimatorSpec, estimate
 from ssdr.experiments import (
     PipelineSpec,
     _Split,
-    _split_cers,
+    _split_jobs,
+    _sweep_cers,
     lambda_grid,
     mvn_sample,
     simulation_config,
@@ -77,11 +78,12 @@ def test_feature_permutation_leaves_every_rate_unchanged(config_id, n_policy,
     for pl in FIXED_LAMBDA_PIPELINES:
         dims = pl.resolved_dims(cfg.p)
         # these pipelines neither tune nor studentize, so need no generator
-        base, = _split_cers([_Split(train, test)], pl, [None], dims)
-        permuted, = _split_cers(
+        base, = _sweep_cers(_split_jobs([_Split(train, test)], pl, [None],
+                                        dims))
+        permuted, = _sweep_cers(_split_jobs(
             [_Split(train.with_features(train.features[:, perm]),
                     test.with_features(test.features[:, perm]))],
-            pl, [None], dims)
+            pl, [None], dims))
         assert permuted == base, pl.name
 
 
