@@ -12,15 +12,14 @@ import argparse
 import csv
 import datetime
 import json
-import numbers
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .datamodel import load_csv
-from .errors import SchemaVersionError, SsdrError
-from .estimators import IS_COUNT, PrecisionEstimatorSpec
+from .errors import InvalidInputError, SchemaVersionError, SsdrError
+from .estimators import KINDS, PrecisionEstimatorSpec
 from .experiments import (
     PipelineSpec,
     repeated_kfold_cv,
@@ -32,17 +31,11 @@ from .qda import REPORT_SCHEMA_VERSION, CerReport
 
 CONFIG_SCHEMA_VERSION = 1
 
-ESTIMATOR_ALIASES = {
-    "sample": "sample_inverse",
-    "sample_inverse": "sample_inverse",
-    "haff": "haff",
-    "wang": "wang",
-    "bodnar": "bodnar",
-    "mry": "mry",
-}
+# Config names of estimators besides their PrecisionEstimatorSpec kinds.
+ESTIMATOR_ALIASES = {"sample": "sample_inverse"}
 
 # A pipeline's config keys: each maps to the PrecisionEstimatorSpec or
-# PipelineSpec field it sets ("estimator" takes an ESTIMATOR_ALIASES name).
+# PipelineSpec field it sets ("estimator" takes a kind or an alias).
 # Any other key is rejected, so a report's resolved config never records a
 # setting the run ignored.
 ESTIMATOR_KEYS = {
@@ -61,26 +54,24 @@ PIPELINE_KEYS = {
     "standardize": "standardize",
     "tune": "tune_mry_lambda",
 }
-# The config key that sets each spec field, to name it in errors.
-KEY_OF_FIELD = {field: key
-                for key, field in {**ESTIMATOR_KEYS, **PIPELINE_KEYS}.items()}
-# (test, requirement) of the top-level simulate values that a file or a
-# flag sets; a pipeline entry is checked when it is built
-SIMULATE_RULES = {
-    "name": (lambda v: isinstance(v, str), "a string"),
-    "config_id": IS_COUNT,
-    "n_policy": (lambda v: isinstance(v, str) or IS_COUNT[0](v),
-                 "a policy name or an integer >= 1"),
-    "replicates": IS_COUNT,
-    "seed": (lambda v: isinstance(v, numbers.Integral)
-             and not isinstance(v, bool) and v >= 0, "an integer >= 0"),
-    "pool_size": IS_COUNT,
-    "pipelines": (lambda v: isinstance(v, list), "a list of pipelines"),
+# The top-level simulate keys that a file or a flag sets, each mapped to
+# the simulation_config parameter it sets.
+STUDY_KEYS = {
+    "config_id": "config_id",
+    "n_policy": "n_policy",
+    "replicates": "replicates",
+    "seed": "master_seed",
+    "pool_size": "pool_size",
 }
+# The config key that sets each field or parameter, to name it in errors.
+KEY_OF_FIELD = {field: key for table in (ESTIMATOR_KEYS, PIPELINE_KEYS,
+                                         STUDY_KEYS)
+                for key, field in table.items()}
 # Top-level keys of a simulate config file. "command" and "n_i" are
 # recorded in every simulate report's resolved config; a file may carry
 # them so that config re-runs, but they must agree with the run.
-SIMULATE_KEYS = ("schema_version", "command", "n_i", *SIMULATE_RULES)
+SIMULATE_KEYS = ("schema_version", "command", "n_i", "name", "pipelines",
+                 *STUDY_KEYS)
 
 
 class UsageError(SsdrError):
@@ -110,29 +101,21 @@ def _pipeline_from_dict(d: dict, where: str, p: int) -> PipelineSpec:
     """Build and validate one pipeline from its config keys.
 
     ``where`` names the pipeline in error messages; ``p`` is the run's
-    dimension, against which ``dims`` is checked.
+    dimension, against which ``dims`` is checked. Only the JSON shapes are
+    checked here; the specs check the values.
     """
     if not isinstance(d, dict):
         raise UsageError(f"{where}: must be an object of keys, got {d!r}")
     _reject_unknown_keys(d, {**ESTIMATOR_KEYS, **PIPELINE_KEYS}, where)
-    kind = d.get("estimator", "sample")
-    if kind not in ESTIMATOR_ALIASES:
-        raise UsageError(
-            f"{where}: unknown estimator {kind!r} "
-            f"(choose from {sorted(ESTIMATOR_ALIASES)})"
-        )
     est = {field: d[key] for key, field in ESTIMATOR_KEYS.items() if key in d}
-    est["kind"] = ESTIMATOR_ALIASES[kind]
+    kind = est.get("kind", "sample")
+    est["kind"] = ESTIMATOR_ALIASES.get(kind, kind) \
+        if isinstance(kind, str) else kind
     fields = {field: d[key] for key, field in PIPELINE_KEYS.items() if key in d}
     dims = fields.pop("dims", "all")
-    if dims == "all":
-        fields["dims"] = None
-    else:
-        try:
-            fields["dims"] = tuple(int(r) for r in dims)
-        except (TypeError, ValueError):
-            raise UsageError(
-                f"{where}: dims must be 'all' or a list of ints") from None
+    if not (dims == "all" or isinstance(dims, list)):
+        raise UsageError(f"{where}.dims: must be 'all' or a list, got {dims!r}")
+    fields["dims"] = None if dims == "all" else tuple(dims)
     try:
         spec = PrecisionEstimatorSpec(**est)
         fields["name"] = fields.get("name") or f"ssdr_{spec.kind}"
@@ -144,14 +127,19 @@ def _pipeline_from_dict(d: dict, where: str, p: int) -> PipelineSpec:
     return pl
 
 
-def _load_json_config(path) -> dict:
+def _read_json(path, what: str):
+    """The parsed JSON of the ``what`` file (config or report) at path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
+        raise UsageError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _load_json_config(path) -> dict:
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: must hold a JSON object of keys")
     version = cfg.get("schema_version", CONFIG_SCHEMA_VERSION)
@@ -213,9 +201,11 @@ def cmd_simulate(args) -> int:
     run = {"n_policy": "2p", "replicates": 200, "pool_size": 5000,
            "pipelines": [], **file_cfg,
            **{key: value for key, value in flags.items() if value is not None}}
-    for key, (ok, requirement) in SIMULATE_RULES.items():
-        if key in run and not ok(run[key]):
-            raise UsageError(f"{key} must be {requirement}, got {run[key]!r}")
+    if not isinstance(run.get("name", ""), str):
+        raise UsageError(f"name must be a string, got {run['name']!r}")
+    if not isinstance(run["pipelines"], list):
+        raise UsageError(
+            f"pipelines must be a list of pipelines, got {run['pipelines']!r}")
     if "config_id" not in run:
         raise UsageError("config_id is required (flag --config-id or config file)")
     if "seed" not in run:
@@ -224,12 +214,10 @@ def cmd_simulate(args) -> int:
     name = args.name or run.get("name") or f"cfg{run['config_id']}"
 
     try:
-        cfg = simulation_config(run["config_id"], run["n_policy"],
-                                replicates=run["replicates"],
-                                master_seed=run["seed"],
-                                pool_size=run["pool_size"])
-    except SsdrError as exc:
-        raise UsageError(f"config_id/n_policy: {exc}") from exc
+        cfg = simulation_config(
+            **{field: run[key] for key, field in STUDY_KEYS.items()})
+    except InvalidInputError as exc:
+        raise UsageError(f"{KEY_OF_FIELD[exc.field]}: {exc}") from exc
     for key, value in (("command", "simulate"), ("n_i", cfg.n_i)):
         if file_cfg.get(key, value) != value:
             raise UsageError(f"{args.config}: {key} is {file_cfg[key]!r}, "
@@ -247,12 +235,8 @@ def cmd_simulate(args) -> int:
         "schema_version": CONFIG_SCHEMA_VERSION,
         "command": "simulate",
         "name": name,
-        "config_id": cfg.config_id,
-        "n_policy": run["n_policy"],
+        **{key: run[key] for key in STUDY_KEYS},
         "n_i": cfg.n_i,
-        "replicates": cfg.replicates,
-        "seed": cfg.master_seed,
-        "pool_size": cfg.pool_size,
         "pipelines": run["pipelines"],
     }
     report_path, summary_path = _write_report_files(
@@ -273,19 +257,22 @@ def cmd_cv(args) -> int:
         label_col = -1
     ds = load_csv(args.data, label_column=label_col,
                   header=not args.no_header)
+    try:
+        dims = "all" if args.r == "all" else [int(r) for r in args.r.split(",")]
+    except ValueError:
+        raise UsageError(f"cv.dims: --r must be 'all' or comma-separated "
+                         f"integers, got {args.r!r}") from None
     pipeline_cfg = {
         "estimator": args.estimator,
         "lambda": args.mry_lambda,
         "penalty": args.mry_penalty,
         "gamma": args.mry_gamma,
         "standardize_mean": args.mry_standardize_mean,
-        "dims": args.r if args.r == "all" else args.r.split(","),
+        "dims": dims,
         "standardize": args.standardize,
         "tune": not args.no_tune,
     }
     pipeline = _pipeline_from_dict(pipeline_cfg, "cv", ds.p)
-    if pipeline.dims is not None:
-        pipeline_cfg["dims"] = list(pipeline.dims)
     name = args.name or Path(args.data).stem
     seed = args.seed
     if seed is None:
@@ -339,13 +326,7 @@ def cmd_cv(args) -> int:
 
 
 def _load_report(path) -> CerReport:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"report file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON ({exc})") from exc
+    payload = _read_json(path, "report")
     try:
         return CerReport.from_dict(payload)
     except SchemaVersionError as exc:
@@ -418,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--label-column", help="name or index (default: last column)")
     cv.add_argument("--no-header", action="store_true")
     cv.add_argument("--estimator", default="sample",
-                    choices=sorted(set(ESTIMATOR_ALIASES)))
+                    choices=sorted({*ESTIMATOR_ALIASES, *KINDS}))
     cv.add_argument("--r", default="all",
                     help="'all' or comma-separated dimensions")
     cv.add_argument("--folds", type=int, default=10)

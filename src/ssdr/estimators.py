@@ -47,23 +47,44 @@ KINDS = ("sample_inverse", "haff", "wang", "bodnar", "mry")
 MRY_PENALTIES = ("simple", "qda")
 BODNAR_TARGETS = ("identity", "diagonal_of_s")
 
-# (test, requirement) rules for check_fields
+
+def is_int(v) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# A rule is (test, requirement): check_fields reports a value that fails
+# the test as "<name> must be <requirement>".
+def at_least(n: int) -> tuple:
+    """The rule: an integer >= n."""
+    return (lambda v: is_int(v) and v >= n, f"an integer >= {n}")
+
+
+def one_of(choices: tuple) -> tuple:
+    """The rule: one of ``choices``, which are all strings or all integers;
+    neither a bool nor a float passes for an integer."""
+    kind = is_int if is_int(choices[0]) else (lambda v: isinstance(v, str))
+    return (lambda v: kind(v) and v in choices,
+            f"one of {', '.join(map(repr, choices))}")
+
+
 IS_BOOL = (lambda v: isinstance(v, bool), "true or false")
-IS_COUNT = (lambda v: isinstance(v, numbers.Integral)
-            and not isinstance(v, bool) and v >= 1, "an integer >= 1")
+IS_COUNT = at_least(1)
 IS_POSITIVE = (lambda v: isinstance(v, numbers.Real)
                and not isinstance(v, bool) and 0 < v < np.inf,
                "a finite number > 0")
 
 
-def check_fields(spec, rules: dict) -> None:
-    """Raise InvalidInputError, naming the field, for the first value of
-    ``spec`` that breaks its rule in ``rules`` (field name -> rule)."""
+def check_fields(values: dict, rules: dict) -> None:
+    """The one check of setting values, for specs (``vars(self)``) and
+    functions (a dict of their parameters) alike: raise InvalidInputError,
+    with ``field`` set, for the first of ``values`` (name -> value) that
+    fails its rule in ``rules`` (name -> rule)."""
     for name, (ok, requirement) in rules.items():
-        value = getattr(spec, name)
-        if not ok(value):
+        if not ok(values[name]):
             raise InvalidInputError(
-                f"{name} must be {requirement}, got {value!r}", field=name)
+                f"{name} must be {requirement}, got {values[name]!r}",
+                field=name)
 
 
 @dataclass(frozen=True)
@@ -94,25 +115,16 @@ class PrecisionEstimatorSpec:
     admm_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown estimator kind {self.kind!r}",
-                                    field="kind")
-        check_fields(self, {"mry_standardize_mean": IS_BOOL,
-                            "admm_max_iters": IS_COUNT,
-                            "admm_tol": IS_POSITIVE})
+        rules = {"kind": one_of(KINDS), "mry_standardize_mean": IS_BOOL,
+                 "admm_max_iters": IS_COUNT, "admm_tol": IS_POSITIVE}
         if self.kind == "mry":
-            check_fields(self, {"mry_lambda": IS_POSITIVE})
-            if self.mry_penalty not in MRY_PENALTIES:
-                raise InvalidInputError(
-                    f"unknown mry penalty {self.mry_penalty!r}",
-                    field="mry_penalty")
+            rules.update(mry_lambda=IS_POSITIVE,
+                         mry_penalty=one_of(MRY_PENALTIES))
             if self.mry_penalty == "qda":
-                check_fields(self, {"mry_gamma": IS_POSITIVE})
+                rules["mry_gamma"] = IS_POSITIVE
         if isinstance(self.bodnar_target, str):
-            if self.bodnar_target not in BODNAR_TARGETS:
-                raise InvalidInputError(
-                    f"unknown bodnar target {self.bodnar_target!r}",
-                    field="bodnar_target")
+            rules["bodnar_target"] = one_of(BODNAR_TARGETS)
+        check_fields(vars(self), rules)
 
     def with_lambda(self, lam: float) -> "PrecisionEstimatorSpec":
         return replace(self, mry_lambda=float(lam))
@@ -282,12 +294,10 @@ def bodnar(cs: ClassSummary, target="identity",
     n, p = cs.n_i, cs.p
     _, s_inv = spd_logdet_and_inverse(cs.cov)
     if isinstance(target, str):
-        if target == "identity":
-            omega0 = np.eye(p)
-        elif target == "diagonal_of_s":
-            omega0 = np.diag(np.diag(np.asarray(cs.cov)))
-        else:
-            raise InvalidInputError(f"unknown bodnar target {target!r}")
+        check_fields({"bodnar_target": target},
+                     {"bodnar_target": one_of(BODNAR_TARGETS)})
+        omega0 = np.eye(p) if target == "identity" \
+            else np.diag(np.diag(np.asarray(cs.cov)))
     else:
         omega0 = symmetrize(target, "bodnar target")
         if omega0.shape != (p, p):
@@ -564,8 +574,7 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
     check of Z, mean' Omega mean and the state) are built in one stacked
     pass (``_mry_estimates``).
     """
-    if spec.kind != "mry":
-        raise InvalidInputError(f"spec.kind must be 'mry', got {spec.kind!r}")
+    check_fields(vars(spec), {"kind": one_of(("mry",))})
     if lambdas is None:
         lambdas = [spec.mry_lambda] * len(summaries)
     tol = float(spec.admm_tol)
@@ -575,10 +584,7 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
     for cs, warm, lam in zip(summaries, warm_starts or [None] * len(summaries),
                              lambdas, strict=True):
         try:
-            ok, requirement = IS_POSITIVE
-            if not ok(lam):
-                raise InvalidInputError(
-                    f"lambda must be {requirement}, got {lam!r}")
+            check_fields({"lambda": lam}, {"lambda": IS_POSITIVE})
             lams.append(float(lam))
             setups.append(_mry_setup(cs, spec, warm, lams[-1]))
         except SsdrError as exc:
@@ -667,9 +673,7 @@ def estimate(cs: ClassSummary, spec: PrecisionEstimatorSpec) -> PrecisionEstimat
             return wang(cs)
         if spec.kind == "bodnar":
             return bodnar(cs, target=spec.bodnar_target)
-        if spec.kind == "mry":
-            return mry(cs, spec)
-        raise InvalidInputError(f"unknown estimator kind {spec.kind!r}")
+        return mry(cs, spec)  # a spec's kind is one of KINDS
     except SsdrError as exc:
         exc.attach_class(cs.class_id)
         raise

@@ -46,10 +46,15 @@ from .datamodel import LabeledDataset, jitter, standardize, summarize
 from .errors import InvalidInputError, SsdrError, StratificationError, TuningError
 from .estimators import (
     IS_BOOL,
+    IS_COUNT,
+    IS_POSITIVE,
     PrecisionEstimatorSpec,
+    at_least,
     check_fields,
+    is_int,
     mry,  # noqa: F401 -- not called here; perfbench/tracing.py wraps this name
     mry_batch,
+    one_of,
 )
 from .numerics import (
     cholesky_prefix,
@@ -69,6 +74,10 @@ _NS_CV_REPEAT = 2
 _NS_JITTER = 3
 
 N_POLICIES = ("p+1", "2p", "6p")
+# n_policy is a policy name or an explicit n_i
+_POLICY_NAME, _EXPLICIT_N_I = one_of(N_POLICIES), at_least(2)
+_N_POLICY = (lambda v: _POLICY_NAME[0](v) or _EXPLICIT_N_I[0](v),
+             f"{_POLICY_NAME[1]} or {_EXPLICIT_N_I[1]}")
 
 # The dimension sweep scores test rows in blocks of this many, so its
 # (r, rows) score arrays stay small however large the test set is.
@@ -146,12 +155,14 @@ def simulation_config(config_id: int, n_policy, replicates: int = 200,
     p=10, large mean shifts; (4) two classes, p=50, spherical vs intra-class
     covariance, second mean drawn once uniform(0, 1) from the master seed.
 
-    n_policy is one of "p+1", "2p", "6p", or an explicit integer.
+    n_policy is one of "p+1", "2p", "6p", or an explicit n_i >= 2, which
+    must be below pool_size. A bad value raises InvalidInputError naming
+    its parameter in ``field``.
     """
-    for name, value, least in (("replicates", replicates, 1),
-                               ("master_seed", master_seed, 0)):
-        if value < least:
-            raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    check_fields(locals(), {  # the parameters, before any other name is bound
+        "config_id": one_of((1, 2, 3, 4)), "n_policy": _N_POLICY,
+        "replicates": IS_COUNT, "master_seed": at_least(0),
+        "pool_size": IS_COUNT})
     if config_id == 1:
         p = 10
         means = (np.zeros(p), np.ones(p))
@@ -164,31 +175,19 @@ def simulation_config(config_id: int, n_policy, replicates: int = 200,
         p = 10
         means = (np.zeros(p), np.full(p, 5.0), np.full(p, 10.0))
         covs = (_CONFIG3_SIGMA.copy(), _CONFIG3_SIGMA.copy(), np.eye(p))
-    elif config_id == 4:
+    else:  # config 4
         p = 50
         # drawn once per study
         mu2 = _stream(master_seed, _NS_PARAMS).uniform(0.0, 1.0, size=p)
         means = (np.zeros(p), mu2)
         covs = (np.eye(p), np.eye(p) + 2.0 * np.ones((p, p)))
-    else:
-        raise InvalidInputError(f"unknown config_id {config_id}")
 
-    if isinstance(n_policy, str):
-        if n_policy not in N_POLICIES:
-            raise InvalidInputError(
-                f"n_policy must be one of {N_POLICIES} or an integer"
-            )
-        n_i = {"p+1": p + 1, "2p": 2 * p, "6p": 6 * p}[n_policy]
-        policy = n_policy
-    else:
-        n_i = int(n_policy)
-        policy = str(n_i)
-    if not 2 <= n_i < pool_size:
-        raise InvalidInputError(f"n_i={n_i} must be in [2, pool_size)")
+    n_i = int({"p+1": p + 1, "2p": 2 * p, "6p": 6 * p}.get(n_policy, n_policy))
+    check_fields({"pool_size": pool_size}, {"pool_size": at_least(n_i + 1)})
     return SimulationConfig(
         config_id=config_id, p=p,
         means=tuple(means), covs=tuple(symmetrize(c) for c in covs),
-        n_i=n_i, n_policy=policy, replicates=replicates,
+        n_i=n_i, n_policy=str(n_policy), replicates=replicates,
         master_seed=master_seed, pool_size=pool_size,
     )
 
@@ -200,8 +199,10 @@ class PipelineSpec:
     ``dims`` of None means sweep r = 1..p. For MRY estimators with
     ``tune_mry_lambda``, the penalty parameter is selected per training set
     by grid search over a fixed geometric grid in the units of the sample
-    covariances (see lambda_grid). Invalid values raise InvalidInputError
-    naming the field.
+    covariances (see lambda_grid). A bad value raises InvalidInputError
+    naming its field in ``field``: ``name`` must be a string, ``estimator``
+    a PrecisionEstimatorSpec, ``dims`` None or a tuple of integers, and the
+    flags true or false. ``resolved_dims`` checks ``dims`` against p.
     """
 
     name: str
@@ -211,7 +212,14 @@ class PipelineSpec:
     tune_mry_lambda: bool = True
 
     def __post_init__(self):
-        check_fields(self, {"standardize": IS_BOOL, "tune_mry_lambda": IS_BOOL})
+        check_fields(vars(self), {
+            "name": (lambda v: isinstance(v, str), "a string"),
+            "estimator": (lambda v: isinstance(v, PrecisionEstimatorSpec),
+                          "a PrecisionEstimatorSpec"),
+            "dims": (lambda v: v is None or isinstance(v, (tuple, list))
+                     and all(is_int(r) for r in v),
+                     "None or a tuple of integers"),
+            "standardize": IS_BOOL, "tune_mry_lambda": IS_BOOL})
 
     def resolved_dims(self, p: int) -> tuple:
         dims = tuple(range(1, p + 1)) if self.dims is None else tuple(self.dims)
@@ -481,8 +489,8 @@ class _TuningSplit:
         self.scores = {}  # candidate -> best-over-r error, None if it failed
 
 
-def _tuning_set(split: _Split, pipeline: PipelineSpec,
-                rng: np.random.Generator, inner_folds: int | None):
+def _tuning_set(split: _Split, rng: np.random.Generator,
+                inner_folds: int | None):
     """(ascending grid, tuning splits) of one training set."""
     train = split.train
     grid = lambda_grid(split.summaries)
@@ -536,8 +544,7 @@ def tune_lambda(splits, pipeline: PipelineSpec, rngs,
     (StratificationError when its folds cannot be drawn, TuningError when
     every candidate failed), so one set cannot fail another.
     """
-    if pipeline.estimator.kind != "mry":
-        raise InvalidInputError("lambda tuning applies to MRY pipelines only")
+    check_fields(vars(pipeline.estimator), {"kind": one_of(("mry",))})
     base = replace(
         pipeline.estimator,
         admm_tol=max(pipeline.estimator.admm_tol, _TUNING_ADMM_TOL),
@@ -547,7 +554,7 @@ def tune_lambda(splits, pipeline: PipelineSpec, rngs,
     sets = []
     for split, rng in zip(splits, rngs, strict=True):
         try:
-            sets.append(_tuning_set(split, pipeline, rng, inner_folds))
+            sets.append(_tuning_set(split, rng, inner_folds))
         except SsdrError as exc:
             sets.append(exc)
     live = [ts for ts in sets if not isinstance(ts, SsdrError)]
@@ -644,6 +651,12 @@ def _study_report(metadata: dict, pipelines, p: int, results) -> CerReport:
     return report
 
 
+# a study's pipelines: specs of distinct names, none of them "qda_full"
+_PIPELINES = (lambda v: all(isinstance(pl, PipelineSpec) for pl in v)
+              and len({pl.name for pl in v} - {"qda_full"}) == len(v),
+              "PipelineSpecs of distinct names other than 'qda_full'")
+
+
 def run_mc_study(cfg: SimulationConfig, pipelines,
                  threads: int = 1) -> CerReport:
     """Monte Carlo study: per replicate, draw per-class pools, train on the
@@ -653,11 +666,11 @@ def run_mc_study(cfg: SimulationConfig, pipelines,
     Estimator failures mark cells missing for that replicate and are counted
     in the report, never fatal. The baseline is the sweep's QDA at r = p
     with U = I_p, so it is missing when a training class has n_i <= p.
+    ``pipelines`` must be PipelineSpecs of distinct names other than
+    "qda_full", and ``threads`` an integer >= 1.
     """
     pipelines = list(pipelines)
-    names = [pl.name for pl in pipelines]
-    if len(set(names)) != len(names) or "qda_full" in names:
-        raise InvalidInputError("pipeline names must be unique and not 'qda_full'")
+    check_fields(locals(), {"pipelines": _PIPELINES, "threads": IS_COUNT})
     for pl in pipelines:
         pl.resolved_dims(cfg.p)
     args = [(cfg, pipelines, j) for j in range(cfg.replicates)]
@@ -711,13 +724,17 @@ def repeated_kfold_cv(ds: LabeledDataset, pipeline: PipelineSpec,
     with a seed derived from the master seed; studentization is fitted per
     training fold. qda_full, the sweep's QDA at r = p with U = I_p on the
     studentized fold, is missing when a training class has n_i <= p.
+
+    ``folds`` and ``inner_folds`` must be integers >= 2, ``repeats`` and
+    ``threads`` >= 1, ``seed`` >= 0, and ``jitter_sigma`` None or > 0; a
+    bad value raises InvalidInputError naming its parameter in ``field``.
     """
-    for name, value, least in (("folds", folds, 2),
-                               ("inner_folds", inner_folds, 2),
-                               ("repeats", repeats, 1),
-                               ("seed", seed, 0)):
-        if value < least:
-            raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    check_fields(locals(), {  # the parameters
+        "pipeline": (lambda v: isinstance(v, PipelineSpec), "a PipelineSpec"),
+        "folds": at_least(2), "inner_folds": at_least(2), "repeats": IS_COUNT,
+        "seed": at_least(0), "threads": IS_COUNT,
+        "jitter_sigma": (lambda v: v is None or IS_POSITIVE[0](v),
+                         f"None or {IS_POSITIVE[1]}")})
     jitter_seed = None
     if jitter_sigma is not None:
         jitter_seed = int(np.random.SeedSequence(

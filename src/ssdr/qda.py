@@ -11,7 +11,6 @@ collects estimated conditional error rates across replicates or repeats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,9 +195,6 @@ class CerReport:
                 for c in self.cells
             ],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CerReport":

@@ -166,7 +166,8 @@ class TestCv:
                        "--repeats", 1, "--out-dir", tmp_path, "--threads", 1)
         assert code == 1
         err = capsys.readouterr().err
-        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert "error: seed must be an integer >= 0, got -1\n" in err
+        assert "Traceback" not in err
         assert not list(tmp_path.glob("*_report.json"))
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -267,7 +268,9 @@ class TestCv:
                        "--seed", 1, "--out-dir", tmp_path, "--threads", 1)
         assert code == 1
         err = capsys.readouterr().err
-        assert f"{flag[2:].replace('-', '_')} must be >=" in err
+        least = 1 if flag == "--repeats" else 2
+        assert f"error: {flag[2:].replace('-', '_')} must be an integer " \
+            f">= {least}, got {value}\n" in err
         assert not (tmp_path / "blobs_report.json").exists()
 
 
@@ -395,6 +398,8 @@ class TestConfigSchema:
         ("pipelines", {"pipelines": 3}, []),
         ("pipelines[0]", {"pipelines": [3]}, []),
         ("JSON object", [{"config_id": 1}], []),
+        # a dimension list of non-integers never runs as its truncation
+        ("pipelines[0].dims", {"pipelines": [{"dims": [1.5, "2"]}]}, []),
     ])
     def test_bad_top_level_value_is_usage_error(self, tmp_path, capsys, key,
                                                 config, flags):

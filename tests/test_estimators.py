@@ -647,12 +647,13 @@ class TestEstimateDispatch:
         ("admm_max_iters", 0), ("admm_max_iters", 10.0),
         ("admm_max_iters", True), ("admm_tol", 0.0), ("admm_tol", "1e-6"),
         ("admm_tol", float("nan")), ("mry_standardize_mean", 1),
-        ("mry_lambda", 0.0), ("mry_gamma", -1.0),
+        ("mry_lambda", 0.0), ("mry_gamma", -1.0), ("mry_penalty", "lasso"),
+        ("bodnar_target", "zero"),
     ])
     def test_bad_setting_value_names_its_field(self, field, value):
         with pytest.raises(InvalidInputError, match=field) as info:
-            PrecisionEstimatorSpec(kind="mry", mry_penalty="qda",
-                                   **{field: value})
+            PrecisionEstimatorSpec(**{"kind": "mry", "mry_penalty": "qda",
+                                      field: value})
         assert info.value.field == field
 
     def test_numpy_setting_values_accepted(self):

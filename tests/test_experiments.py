@@ -113,12 +113,47 @@ def blobs(rng, n_per=40, p=3, k=2, spread=8.0):
 
 class TestPipelineSpec:
     @pytest.mark.parametrize("field, value", [
-        ("standardize", "no"), ("tune_mry_lambda", None),
+        ("standardize", "no"), ("tune_mry_lambda", None), ("name", 3),
+        ("estimator", "mry"), ("dims", (1.5,)), ("dims", "12"),
     ])
     def test_bad_setting_value_names_its_field(self, field, value):
         with pytest.raises(InvalidInputError, match=field) as info:
-            PipelineSpec(name="m", estimator=SAMPLE, **{field: value})
+            PipelineSpec(**{"name": "m", "estimator": SAMPLE, field: value})
         assert info.value.field == field
+
+
+@pytest.mark.parametrize("entry, field, value", [
+    ("simulation_config", "replicates", "3"),
+    ("simulation_config", "replicates", 2.5),
+    ("simulation_config", "master_seed", 1.5),
+    ("simulation_config", "n_policy", [12]),
+    ("simulation_config", "n_policy", 12.7),
+    ("simulation_config", "config_id", True),
+    ("simulation_config", "pool_size", 20),  # n_i = 20 needs a larger pool
+    ("repeated_kfold_cv", "folds", 2.5),
+    ("repeated_kfold_cv", "repeats", 1.5),
+    ("repeated_kfold_cv", "seed", 0.5),
+    ("repeated_kfold_cv", "threads", "2"),
+    ("repeated_kfold_cv", "jitter_sigma", "abc"),
+    ("repeated_kfold_cv", "pipeline", "m"),
+    ("run_mc_study", "pipelines", ["m"]),
+    ("run_mc_study", "threads", 1.5),
+])
+def test_bad_entry_point_setting_names_its_field(entry, field, value):
+    # a study's settings are checked where they enter, never deep in a unit
+    calls = {
+        "simulation_config": lambda kw: simulation_config(
+            **{"config_id": 1, "n_policy": "2p", **kw}),
+        "repeated_kfold_cv": lambda kw: repeated_kfold_cv(**{
+            "ds": blobs(np.random.default_rng(0)), "folds": 5, "repeats": 1,
+            "pipeline": PipelineSpec(name="m", estimator=SAMPLE, dims=(1,)),
+            **kw}),
+        "run_mc_study": lambda kw: run_mc_study(
+            simulation_config(1, "2p", replicates=1), **{"pipelines": [], **kw}),
+    }
+    with pytest.raises(InvalidInputError, match=field) as info:
+        calls[entry]({field: value})
+    assert info.value.field == field
 
 
 class TestMvnSample:
@@ -390,10 +425,13 @@ class TestRepeatedKfoldCv:
     def test_negative_seed_is_rejected(self):
         ds = blobs(np.random.default_rng(0))
         pl = PipelineSpec(name="ssdr_sample", estimator=SAMPLE, dims=(1,))
-        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        with pytest.raises(InvalidInputError,
+                           match=r"^seed must be an integer >= 0, got -1$"):
             repeated_kfold_cv(ds, pl, folds=5, repeats=1, seed=-1,
                               jitter_sigma=1e-5)
-        with pytest.raises(InvalidInputError, match="master_seed must be >= 0"):
+        with pytest.raises(
+                InvalidInputError,
+                match=r"^master_seed must be an integer >= 0, got -1$"):
             simulation_config(4, "2p", master_seed=-1)
 
     def test_only_full_width_rows_are_summarized(self, monkeypatch):
