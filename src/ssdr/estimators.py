@@ -334,6 +334,17 @@ def bodnar(cs: ClassSummary, target="identity",
     return PrecisionEstimate(omega=omega, diagnostics=diag)
 
 
+# Anderson acceleration of mry_batch's ADMM (see there): the number of
+# (dF, dG) pairs each problem keeps; the Tikhonov term of their normal
+# equations, relative to the trace, plus the smallest normal float so that
+# an empty history solves to gamma = 0; and the factor of the last accepted
+# residual above which the safeguard rejects an extrapolated step.
+_AA_MEMORY = 5
+_AA_RIDGE = 1e-10
+_AA_RIDGE_FLOOR = np.finfo(float).tiny
+_AA_SAFEGUARD = 1.0
+
+
 def _soft_threshold_offdiag(m: np.ndarray, thr: np.ndarray) -> np.ndarray:
     """Entrywise soft threshold of each matrix of a stack, sparing the
     diagonal; ``thr`` holds one threshold per matrix, shape (B, 1, 1)."""
@@ -341,6 +352,21 @@ def _soft_threshold_offdiag(m: np.ndarray, thr: np.ndarray) -> np.ndarray:
     step = m.shape[-1] + 1  # the diagonal of a flattened matrix
     out.reshape(len(m), -1)[:, ::step] = m.reshape(len(m), -1)[:, ::step]
     return out
+
+
+def _front_rows(ring: np.ndarray, keep: list) -> np.ndarray:
+    """The rows ``keep`` of a (B, m, n) history, moved to its front in
+    place one slot at a time, so the history is never held twice."""
+    for k in range(ring.shape[1]):
+        ring[:len(keep), k] = ring[keep, k]
+    return ring[:len(keep)]
+
+
+def _safeguard(res: list, res_acc: list) -> list:
+    """Whether each problem's step is accepted: an extrapolated V when its
+    fixed-point residual |G(V) - V| is at most _AA_SAFEGUARD times that of
+    the last accepted V, and a plain step (``res_acc`` inf) always."""
+    return [r <= _AA_SAFEGUARD * a for r, a in zip(res, res_acc)]
 
 
 def _symmetric_part(a: np.ndarray) -> np.ndarray:
@@ -398,6 +424,9 @@ def mry(cs: ClassSummary, spec: PrecisionEstimatorSpec,
     L^-T Theta L^-1 is formed only for the converged iterate. The Z update
     soft thresholds off-diagonal entries; the penalty parameter is
     rebalanced (x2 / /2) whenever the primal/dual residual ratio exceeds 10.
+    The iteration is Anderson accelerated, with memory 5 and a safeguard
+    (Walker and Ni 2011; Zhang, Peng, Ouyang and Deng 2019; Fu, Zhang and
+    Boyd 2020), on the one matrix V = A Omega B + U; see mry_batch.
 
     Accepts singular (PSD) sample covariances, which is what makes the
     estimator usable when n_i <= p. ``warm_start`` is None (a cold start)
@@ -558,21 +587,52 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
     lambda_new / lambda_old so it stays a subgradient of the new penalty:
     along a penalty path each solve then starts near its neighbour's end.
     Inputs are validated once at entry. Each problem keeps its own penalty,
-    rho and residuals and leaves the stack once it converges or fails, so
-    its outcome is bit for bit its solo one. Returns per problem its
-    PrecisionEstimate, final state included, or the typed error that ended
-    it; errors, raised or returned, name a class.
+    rho, residuals and acceleration history and leaves the stack once it
+    converges or fails, so its outcome is bit for bit its solo one. Returns
+    per problem its PrecisionEstimate, final state included, or the typed
+    error that ended it; errors, raised or returned, name a class.
+
+    The iterate of each problem is one matrix, V = A Omega B + U, the input
+    of the Z-step: Z = soft(V) and U = V - Z, so one ADMM step is a fixed
+    point map V -> G(V), the Douglas-Rachford variable of Fu, Zhang and
+    Boyd (2020), and rho U stays an exact subgradient of lambda |Z|_1. G is
+    Anderson accelerated (type II, Walker and Ni 2011; on ADMM, Zhang,
+    Peng, Ouyang and Deng 2019) with memory _AA_MEMORY = 5: each problem
+    keeps the differences dF, dG of the residuals F = G(V) - V and values
+    G(V) of its last 5 accepted steps, and its next V is G(V) - dG' gamma,
+    where gamma minimizes |F - dF' gamma| through the 5 x 5 normal
+    equations with a Tikhonov term of _AA_RIDGE times their trace. The
+    safeguard of Fu, Zhang and Boyd rejects an extrapolated V whose
+    |G(V) - V| exceeds that of the last accepted V; the solve then resumes
+    from G(last accepted V) with the history cleared. The history is also
+    cleared whenever residual balancing changes rho (x2 or /2 when the
+    primal/dual residual ratio exceeds 10). The first step, from a cold
+    start or a state, is a plain one. The stopping test always reads the
+    plain ADMM step from the current V, and a converged problem returns
+    that step's Q, d, Z and U, so its KKT stationarity residual is the
+    dual residual whatever V was.
 
     Besides one stacked eigendecomposition, an iteration does 6 dense
     matrix products and 2 symmetrizations per problem in qda mode (P(Z-U),
     then .P'; W = Q'P; (W' diag(d)) W; B dZ, then .B' for the dual residual;
     symmetrizing the eigendecomposed matrix and B' Omega B), and 1 product
     and 1 symmetrization in simple mode, whose eigendecomposed matrix
-    rho (Z - U) - S is exactly symmetric as it stands. A problem that
-    converges leaves a copy of its Q, d, Z and U; after the loop the
-    estimates of all of them (Omega, the KKT residual, simple mode's SPD
-    check of Z, mean' Omega mean and the state) are built in one stacked
-    pass (``_mry_estimates``).
+    rho (Z - U) - S is exactly symmetric as it stands. Acceleration adds,
+    per problem, a second soft threshold (of the next V), three products
+    with its (m, p^2) history, m = _AA_MEMORY (the new Gram column, the
+    right-hand side dF F and the combination of the dG), one m x m solve,
+    a norm and the symmetrization of V, which the combination leaves
+    symmetric only up to rounding. The history is a (B, m, p^2) pair of
+    stacks, written one slot per iteration; no step copies it, and it is
+    compacted in place when problems leave. Measured with BLAS on one
+    thread (2 vCPUs), that is about 150 us on top of about 700 us per
+    iteration at p = 50 in a stack of 2, and about 60 us on top of 100 us
+    at p = 10 in a stack of 3, for 3 to 5 times fewer iterations on
+    tuning paths. A
+    problem that converges leaves a copy of its Q, d, Z and U; after the
+    loop the estimates of all of them (Omega, the KKT residual, simple
+    mode's SPD check of Z, mean' Omega mean and the state) are built in one
+    stacked pass (``_mry_estimates``).
     """
     check_fields(vars(spec), {"kind": one_of(("mry",))})
     if lambdas is None:
@@ -594,11 +654,25 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
         raise InvalidInputError("mry_batch needs problems of one dimension")
     s, white, b, z, u = (None if col[0] is None else np.stack(col)
                          for col in list(zip(*setups))[:5])
+    if not simple:
+        b_t = np.ascontiguousarray(b.transpose(0, 2, 1))
     rho = [st.rho for st in setups]  # residual balancing adapts each one
     lam = np.array(lams).reshape(-1, 1, 1)
     outcomes = [None] * len(setups)
     converged = []  # (problem, Q, d, Z, U, rho, primal, iterations)
     rows = list(range(len(setups)))  # the problem in each row of the stacks
+    # Anderson history: the (dF, dG) pairs of the last _AA_MEMORY steps,
+    # step ``it`` writing slot it % _AA_MEMORY, with the Gram matrix dF dF'
+    # (a cleared history is zero); F and G of the last accepted V, whether
+    # it can form a pair, and the residual an extrapolated V must not exceed
+    # (inf: the next step is plain)
+    ring_f = np.zeros((len(rows), _AA_MEMORY, z[0].size))
+    ring_g = np.zeros_like(ring_f)
+    gram = np.zeros((len(rows), _AA_MEMORY, _AA_MEMORY))
+    eye = np.eye(_AA_MEMORY)
+    f_acc = g_acc = np.zeros((len(rows), z[0].size))
+    has_prev = [False] * len(rows)
+    res_acc = [math.inf] * len(rows)
 
     for it in range(1, max_iters + 1):
         t = np.array(rho).reshape(-1, 1, 1)
@@ -608,20 +682,22 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
             w = q.transpose(0, 2, 1)
         else:
             # exact update: rho*Theta - Theta^-1 = rho*P(Z-U)P' - L^-1 S L^-T
-            b_t = b.transpose(0, 2, 1)
             q, d = _logdet_prox(_symmetric_part(
                 t * (white @ (z - u) @ white.transpose(0, 2, 1)) - s), t[:, 0])
             w = q.transpose(0, 2, 1) @ white
         # Omega = Q diag(d) Q' (simple), or B' Omega B = P' Theta P (qda)
         azb = _symmetric_part((w.transpose(0, 2, 1) * d[:, None, :]) @ w)
 
-        z_prev = z
-        z = _soft_threshold_offdiag(azb + u, lam / t)
-        u = u + azb - z
-        dz = z - z_prev
-        primal = _norms(azb - z)
+        g = azb + u  # G(V) for V = Z + U, the plain step
+        f = (azb - z).reshape(len(g), -1)  # G(V) - V
+        z_new = _soft_threshold_offdiag(g, lam / t)
+        u_new = g - z_new
+        dz = z_new - z
+        primal = _norms(azb - z_new)
         dual = _norms(dz if simple else b @ dz @ b_t)
-        keep = []
+        res = _norms(f[:, None])
+        accepted = _safeguard(res, res_acc)
+        keep, paired, rescale = [], [], []
         for j, i in enumerate(rows):
             pr, du, cid = primal[j], rho[j] * dual[j], summaries[i].class_id
             # finite residuals keep the next iteration's z, u and azb finite
@@ -630,8 +706,9 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
                     f"ADMM iterate is not finite at iteration {it}",
                     class_id=cid)
             elif max(pr, du) < tol:
-                converged.append((i, q[j].copy(), d[j].copy(), z[j].copy(),
-                                  u[j].copy(), rho[j], pr, it))
+                converged.append((i, q[j].copy(), d[j].copy(),
+                                  z_new[j].copy(), u_new[j].copy(), rho[j],
+                                  pr, it))
             elif it == max_iters:
                 outcomes[i] = ConvergenceError(
                     f"ADMM did not converge in {max_iters} iterations "
@@ -639,19 +716,59 @@ def mry_batch(summaries, spec: PrecisionEstimatorSpec, warm_starts=None,
                     primal=pr, dual=du, iterations=max_iters, class_id=cid)
             else:
                 keep.append(j)
+                if not accepted[j]:  # resume from G(last accepted V)
+                    paired.append(False)
+                    continue
+                factor = 1.0
                 if pr > 10.0 * du and du > 0:
-                    rho[j] *= 2.0
-                    u[j] /= 2.0
+                    rho[j], factor = rho[j] * 2.0, 0.5
                 elif du > 10.0 * pr:  # also while the primal is exactly 0
-                    rho[j] /= 2.0
-                    u[j] *= 2.0
+                    rho[j], factor = rho[j] / 2.0, 2.0
+                if factor != 1.0:
+                    rescale.append((len(keep) - 1, factor))
+                paired.append(has_prev[j] and factor == 1.0)
+                has_prev[j] = factor == 1.0
         if not keep:
             break
         if len(keep) < len(rows):  # the finished problems leave the stacks
             rows, rho = [rows[j] for j in keep], [rho[j] for j in keep]
-            s, z, u, lam = s[keep], z[keep], u[keep], lam[keep]
+            has_prev = [has_prev[j] for j in keep]
+            accepted, res = [accepted[j] for j in keep], [res[j] for j in keep]
+            s, lam, t, g, f = s[keep], lam[keep], t[keep], g[keep], f[keep]
+            ring_f, ring_g = _front_rows(ring_f, keep), _front_rows(ring_g, keep)
+            gram, f_acc, g_acc = gram[keep], f_acc[keep], g_acc[keep]
             if not simple:
-                b, white = b[keep], white[keep]
+                b, b_t, white = b[keep], b_t[keep], white[keep]
+
+        # the step's pair enters the history with its row and column of the
+        # Gram matrix; a step without one clears its problem's history
+        n, g_flat, h = len(rows), g.reshape(len(rows), -1), it % _AA_MEMORY
+        ring_f[:, h] = df = f - f_acc
+        ring_g[:, h] = g_flat - g_acc
+        gram[:, h] = gram[:, :, h] = (ring_f @ df[:, :, None])[..., 0]
+        cleared = [k for k, kept in enumerate(paired) if not kept]
+        if cleared:
+            ring_f[cleared] = gram[cleared] = 0.0
+        if all(accepted):
+            f_acc, g_acc = f, g_flat
+        else:
+            ok = np.array(accepted)[:, None]
+            f_acc, g_acc = np.where(ok, f, f_acc), np.where(ok, g_flat, g_acc)
+        # gamma = argmin |F - dF' gamma|; the slots of a cleared or short
+        # history hold zeros, so their gamma is exactly 0
+        ridge = _AA_RIDGE * np.trace(gram, axis1=1, axis2=2) + _AA_RIDGE_FLOOR
+        gamma = np.linalg.solve(gram + ridge[:, None, None] * eye,
+                                ring_f @ f[:, :, None])
+        v = g_flat - (gamma.transpose(0, 2, 1) @ ring_g)[:, 0]
+        if not all(accepted):
+            v = np.where(ok, v, g_acc)
+        # exactly symmetric, as the combination is in exact arithmetic
+        v = _symmetric_part(v.reshape(g.shape))
+        z = _soft_threshold_offdiag(v, lam / t)
+        u = v - z
+        for j, factor in rescale:
+            u[j] *= factor
+        res_acc = [r if kept else math.inf for r, kept in zip(res, paired)]
     if converged:
         for i, fit in _mry_estimates(summaries, spec, lams, setups, converged):
             outcomes[i] = fit

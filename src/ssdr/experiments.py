@@ -35,9 +35,11 @@ identical for any parallelism degree.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 import numpy as np
@@ -224,11 +226,13 @@ class PipelineSpec:
     def resolved_dims(self, p: int) -> tuple:
         dims = tuple(range(1, p + 1)) if self.dims is None else tuple(self.dims)
         if not dims:
-            raise InvalidInputError("dimension sweep is empty")
+            raise InvalidInputError("dimension sweep is empty", field="dims")
         if any(not 1 <= r <= p for r in dims):
-            raise InvalidInputError(f"dims {dims} outside 1..{p}")
+            raise InvalidInputError(f"dims {dims} outside 1..{p}",
+                                    field="dims")
         if len(set(dims)) != len(dims):
-            raise InvalidInputError(f"dims {dims} repeat a dimension")
+            raise InvalidInputError(f"dims {dims} repeat a dimension",
+                                    field="dims")
         return dims
 
 
@@ -623,10 +627,51 @@ def _mc_replicate_worker(args) -> dict:
     return out
 
 
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS thread-count functions (get, set), found at
+    the first study call, not at import; None when no library with a known
+    symbol is found (another BLAS build, whose threads are left alone)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (n for n in names if "openblas" in n):
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        for stem in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, stem.format(op), None)
+                         for op in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread; return the count it had."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    before = blas[0]()
+    blas[1](1)
+    return before
+
+
 def _parallel_map(fn, items, threads: int):
+    """``fn`` over ``items``, in a pool of ``threads`` processes, or in this
+    one for one thread or one item. Each process runs numpy's OpenBLAS on
+    one thread, so BLAS threads never compete with the workers for the
+    cores; this process gets its own count back when the map returns."""
     if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+        before = _one_blas_thread()
+        try:
+            return [fn(it) for it in items]
+        finally:
+            if before is not None:
+                _openblas()[1](before)
+    _openblas()  # resolved once, here, and inherited by forked workers
+    with ProcessPoolExecutor(max_workers=threads,
+                             initializer=_one_blas_thread) as ex:
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
 
 

@@ -400,6 +400,10 @@ class TestConfigSchema:
         ("JSON object", [{"config_id": 1}], []),
         # a dimension list of non-integers never runs as its truncation
         ("pipelines[0].dims", {"pipelines": [{"dims": [1.5, "2"]}]}, []),
+        ("pipelines[0].dims: dims (1, 1) repeat",
+         {"pipelines": [{"dims": [1, 1]}]}, []),
+        ("pipelines[0].dims: dims (0,) outside",
+         {"pipelines": [{"dims": [0]}]}, []),
     ])
     def test_bad_top_level_value_is_usage_error(self, tmp_path, capsys, key,
                                                 config, flags):

@@ -282,6 +282,50 @@ class TestMry:
                 assert subgradient <= 1e-12
 
     @pytest.mark.parametrize("penalty", ["simple", "qda"])
+    def test_rho_changes_and_rejected_steps_end_optimal(self, monkeypatch,
+                                                        penalty):
+        # residual balancing clears the acceleration history and the
+        # safeguard throws extrapolated steps away; the solves that go
+        # through both still stop at an optimal point
+        rejected, rhos = [], []
+        safeguard, prox = estimators._safeguard, estimators._logdet_prox
+
+        def spy_safeguard(res, res_acc):
+            accepted = safeguard(res, res_acc)
+            rejected[-1] += accepted.count(False)
+            return accepted
+
+        def spy_prox(e, t):
+            rhos[-1].add(float(t[0, 0]))
+            return prox(e, t)
+
+        monkeypatch.setattr(estimators, "_safeguard", spy_safeguard)
+        monkeypatch.setattr(estimators, "_logdet_prox", spy_prox)
+        tol = 1e-8
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n = int(rng.choice([6, 15]))
+            x = rng.normal(size=(n, 5)) * rng.uniform(0.3, 3.0, size=5)
+            cs = cs_from(np.cov(x, rowvar=False, bias=True), n=n,
+                         mean=x.mean(axis=0) + rng.normal(size=5))
+            spec = PrecisionEstimatorSpec(
+                kind="mry", mry_penalty=penalty, admm_tol=tol,
+                mry_lambda=float(rng.uniform(0.01, 0.5)))
+            rejected.append(0)
+            rhos.append(set())
+            fit = mry(cs, spec)
+            if penalty == "qda":
+                primal, stationarity, _ = qda_penalty_residuals(cs, 1.0, fit)
+            else:
+                primal = fit.diagnostics.kkt_residual
+                stationarity = offdiag_kkt_residual(cs.cov, fit.omega,
+                                                    spec.mry_lambda)
+            assert primal <= 2 * tol
+            assert stationarity <= 2 * tol
+        both = [r > 0 and len(t) > 1 for r, t in zip(rejected, rhos)]
+        assert any(both)
+
+    @pytest.mark.parametrize("penalty", ["simple", "qda"])
     def test_non_finite_iterate_is_typed_error(self, monkeypatch, penalty):
         prox = estimators._logdet_prox
 

@@ -9,6 +9,7 @@ from scipy.stats import norm
 from ssdr import estimators, experiments, qda
 from ssdr.datamodel import ClassSummary, LabeledDataset, summarize
 from ssdr.errors import (
+    ConvergenceError,
     InvalidInputError,
     SsdrError,
     StratificationError,
@@ -202,6 +203,29 @@ class TestSimulationConfig:
         assert np.array_equal(a.means[1], b.means[1])
         assert not np.array_equal(a.means[1], c.means[1])
         assert np.all((a.means[1] >= 0) & (a.means[1] <= 1))
+
+
+def _blas_threads(_):
+    return experiments._openblas()[0]()
+
+
+class TestParallelMap:
+    def test_each_process_runs_blas_on_one_thread(self):
+        # pool workers set one BLAS thread as they start, an in-process map
+        # sets one for its run, and the caller keeps its own count
+        blas = experiments._openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no known thread-count symbol")
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            assert experiments._parallel_map(_blas_threads, [0, 1], 2) == [1, 1]
+            assert get() == 2
+            assert experiments._parallel_map(_blas_threads, [0], 1) == [1]
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 class TestRunMcStudy:
@@ -882,7 +906,7 @@ class TestTuneLambda:
         # solves need a smaller one than qda-penalty solves
         ds = blobs(np.random.default_rng(seed), n_per=14, p=4, k=3,
                    spread=2.0)
-        max_iters = {"simple": 20, "qda": 50}[penalty]
+        max_iters = {"simple": 12, "qda": 50}[penalty]
         monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 6)
         pl = PipelineSpec(
             name="m", dims=(1, 2, 3, 4),
@@ -998,12 +1022,31 @@ class TestTuneLambda:
             return _LOGDET_PROX(e, t)
 
         monkeypatch.setattr(estimators, "_logdet_prox", spy_prox)
-        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 5)
+        # ten candidates: an accelerated path of five makes 43 prox calls
+        monkeypatch.setattr(experiments, "_LAMBDA_GRID_SIZE", 10)
         ds = blobs(np.random.default_rng(22), n_per=20, p=4, k=3, spread=2.0)
         pl = PipelineSpec(name="m", dims=(1, 2), estimator=PrecisionEstimatorSpec(
             kind="mry", mry_penalty=penalty))
         _tune_one(ds, pl, np.random.default_rng(0), inner_folds=3)
         assert len(symmetric) > 50 and all(symmetric)
+
+    def test_tuning_solves_end_under_the_iteration_cap(self, monkeypatch):
+        # the tuning solves of three config 1 n = p+1 replicates: 11 of the
+        # 60 ended at the 1,000-iteration cap without acceleration
+        outcomes, batch = [], experiments.mry_batch
+
+        def spy_batch(*args):
+            fits = batch(*args)
+            outcomes.extend(isinstance(f, ConvergenceError) for f in fits)
+            return fits
+
+        monkeypatch.setattr(experiments, "mry_batch", spy_batch)
+        cfg = simulation_config(1, "p+1", replicates=3, master_seed=20240812)
+        pl = PipelineSpec(name="m", estimator=PrecisionEstimatorSpec(
+            kind="mry", mry_penalty="simple"))
+        run_mc_study(cfg, [pl], threads=1)
+        assert len(outcomes) == 60
+        assert sum(outcomes) == 0
 
     def test_all_candidates_failing_raises(self):
         rng = np.random.default_rng(17)
